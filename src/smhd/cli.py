@@ -3,7 +3,7 @@
 Subcommands: classify, shock, stability, sweep, simulate.  All file
 outputs are deterministic; exit codes are 0 (success), 1 (malformed
 input or configuration), 2 (inadmissible data / Lax-violated shock),
-3 (positivity loss), 4 (CFL violation).
+3 (positivity loss), 4 (CFL violation), 5 (non-finite state).
 """
 
 from __future__ import annotations
@@ -15,11 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import PhysParams
+from .core import PhysParams, State
 from .errors import (
     CflViolation,
     ConfigError,
     InvalidRatio,
+    NonFiniteState,
     NotAShock,
     PositivityLoss,
     SmhdError,
@@ -39,7 +40,6 @@ from .linear import LinearConfig, linear_halfplane_simulate
 from .shock import lax_verdict, linearized_setup, rectilinear_shock
 from .sweep import SweepSpec, run_sweep, sweep_csv, sweep_svg
 from .symmetrization import cvs_nsc_verdict, cvs_sufficient_verdict, lambda_for_cvs
-from .core import State
 
 
 def _out_dir(args) -> Path:
@@ -276,6 +276,9 @@ def cmd_simulate(args) -> int:
     except CflViolation as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return 4
+    except NonFiniteState as exc:
+        print(f"simulate: {exc}", file=sys.stderr)
+        return 5
     except (KeyError, TypeError) as exc:
         print(f"simulate: malformed configuration: {exc}", file=sys.stderr)
         return 1

@@ -57,6 +57,14 @@ class PositivityLoss(SmhdError):
         super().__init__(message or f"height became non-positive at t={time:.6g}")
 
 
+class NonFiniteState(SmhdError):
+    """A simulation produced a NaN or infinite value."""
+
+    def __init__(self, time: float, message: str = ""):
+        self.time = time
+        super().__init__(message or f"state became non-finite at t={time:.6g}")
+
+
 class CflViolation(SmhdError):
     """Courant number out of range or exceeded during a run."""
 

@@ -8,6 +8,15 @@ be observed rather than enforced.  Heights are never clipped unless an
 explicit positivity floor is requested; otherwise a run aborts with
 PositivityLoss.
 
+Each step makes one pass per axis (``_AxisSweep.faces``): the state
+and its ghost cells are copied into a padded buffer allocated once per
+run, the physical flux and the extreme wave speeds are evaluated once
+per padded cell, and ``_hll_faces`` combines the ``[:-1]``/``[1:]``
+slices of those per-cell terms into preallocated face buffers.  The
+CFL step takes its maximum speed from the interior cells of the same
+speed arrays, so a pinned inflow ghost never sets dt.  A non-finite
+wave speed or conservation defect aborts the run with NonFiniteState.
+
 Each simulation owns its arrays; flux evaluation is vectorized over
 cells and reductions use numpy's pairwise summation, so results are
 bit-for-bit reproducible for identical inputs.
@@ -22,7 +31,8 @@ from typing import Callable
 import numpy as np
 
 from .core import PhysParams, State, conserved_from_primitive, fluxes, normal_speeds
-from .errors import CflViolation, ConfigError, PositivityLoss
+from .errors import CflViolation, ConfigError, NonFiniteState, PositivityLoss
+from .ioutil import state_from_doc
 from .shock import RectilinearShock
 
 Array = np.ndarray
@@ -37,24 +47,19 @@ def hll_flux(left: State, right: State, unit_normal, params: PhysParams) -> Arra
 
     Consistent (equal states return the exact projected flux) and
     conservative; wave bounds are the extreme characteristic speeds of
-    the two states (Davis estimate).
+    the two states (Davis estimate).  The face is formed by the same
+    ``_hll_faces`` combination that the simulators run.
     """
     n = np.asarray(unit_normal, dtype=float).reshape(2)
-    ql = conserved_from_primitive(left)
-    qr = conserved_from_primitive(right)
+    q = np.stack([conserved_from_primitive(left), conserved_from_primitive(right)], axis=1)
     f1l, f2l = fluxes(left, params)
     f1r, f2r = fluxes(right, params)
-    fl = n[0] * f1l + n[1] * f2l
-    fr = n[0] * f1r + n[1] * f2r
+    f = np.stack([n[0] * f1l + n[1] * f2l, n[0] * f1r + n[1] * f2r], axis=1)
     sl_l = normal_speeds(left, params, n)
     sl_r = normal_speeds(right, params, n)
-    s_left = min(sl_l[0], sl_r[0])
-    s_right = max(sl_l[-1], sl_r[-1])
-    if s_left >= 0.0:
-        return fl
-    if s_right <= 0.0:
-        return fr
-    return (s_right * fl - s_left * fr + s_left * s_right * (qr - ql)) / (s_right - s_left)
+    lo = np.array([sl_l[0], sl_r[0]])
+    hi = np.array([sl_l[-1], sl_r[-1]])
+    return _hll_faces(q, f, lo, hi, 0, _FaceBuffers((1,)))[:, 0].copy()
 
 
 def _axis_flux(q: Array, g: float, axis: int) -> Array:
@@ -90,18 +95,106 @@ def _axis_extreme_speeds(q: Array, g: float, axis: int) -> tuple[Array, Array]:
     return vn - cg, vn + cg
 
 
-def _hll_faces(ql: Array, qr: Array, g: float, axis: int) -> Array:
-    """Vectorized HLL flux across faces with left/right conserved states."""
-    fl = _axis_flux(ql, g, axis)
-    fr = _axis_flux(qr, g, axis)
-    lo_l, hi_l = _axis_extreme_speeds(ql, g, axis)
-    lo_r, hi_r = _axis_extreme_speeds(qr, g, axis)
-    s_left = np.minimum(lo_l, lo_r)
-    s_right = np.maximum(hi_l, hi_r)
-    denom = s_right - s_left
-    denom = np.where(denom == 0.0, 1.0, denom)
-    middle = (s_right * fl - s_left * fr + s_left * s_right * (qr - ql)) / denom
-    return np.where(s_left >= 0.0, fl, np.where(s_right <= 0.0, fr, middle))
+def _index(ndim: int, axis: int, part: slice) -> tuple:
+    """Index selecting ``part`` along ``axis`` of an ndim array."""
+    idx = [slice(None)] * ndim
+    idx[axis] = part
+    return tuple(idx)
+
+
+def _sides(a: Array, axis: int) -> tuple[Array, Array]:
+    """Views of ``a`` at the left and the right cell of every face along ``axis``."""
+    return a[_index(a.ndim, axis, slice(None, -1))], a[_index(a.ndim, axis, slice(1, None))]
+
+
+class _FaceBuffers:
+    """Preallocated face-shaped outputs and temporaries of ``_hll_faces``."""
+
+    def __init__(self, face_shape: tuple[int, ...]):
+        self.flux = np.empty((5, *face_shape))
+        self.tmp = np.empty((5, *face_shape))
+        self.s_left = np.empty(face_shape)
+        self.s_right = np.empty(face_shape)
+        self.denom = np.empty(face_shape)
+        self.prod = np.empty(face_shape)
+        self.mask = np.empty(face_shape, dtype=bool)
+
+
+def _hll_faces(q: Array, f: Array, lo: Array, hi: Array, axis: int,
+               buf: _FaceBuffers) -> Array:
+    """HLL flux at every face between neighbouring cells along ``axis``.
+
+    ``q`` and ``f`` are per-cell conserved fields and physical fluxes
+    (component first), ``lo``/``hi`` the per-cell extreme speeds; each
+    was evaluated once per cell.  The two sides of a face are the slices
+    ``[:-1]`` and ``[1:]``.  The result is written into ``buf.flux`` with
+    the operation order of the two-sided formula, so it is bit-identical
+    to evaluating each face from its two states.
+    """
+    ql, qr = _sides(q, 1 + axis)
+    fl, fr = _sides(f, 1 + axis)
+    s_left = np.minimum(*_sides(lo, axis), out=buf.s_left)
+    s_right = np.maximum(*_sides(hi, axis), out=buf.s_right)
+    denom = np.subtract(s_right, s_left, out=buf.denom)
+    np.copyto(denom, 1.0, where=np.equal(denom, 0.0, out=buf.mask))
+    out = np.multiply(s_right, fl, out=buf.flux)
+    tmp = np.multiply(s_left, fr, out=buf.tmp)
+    out -= tmp
+    np.subtract(qr, ql, out=tmp)
+    tmp *= np.multiply(s_left, s_right, out=buf.prod)
+    out += tmp
+    out /= denom
+    np.copyto(out, fr, where=np.less_equal(s_right, 0.0, out=buf.mask))
+    np.copyto(out, fl, where=np.greater_equal(s_left, 0.0, out=buf.mask))
+    return out
+
+
+class _AxisSweep:
+    """The padded copy of the state along one axis, allocated once per run.
+
+    ``sides`` gives the ghost cell at each end: ``"periodic"``,
+    ``"outflow"`` (copy of the edge cell) or a pinned conserved 5-vector
+    (inflow), which is written once here and never touched again.
+    """
+
+    def __init__(self, shape: tuple[int, ...], axis: int, sides, g: float):
+        self.axis = axis
+        self.g = g
+        ndim = 1 + len(shape)
+        cell = 1 + axis
+        padded = list(shape)
+        padded[axis] += 2
+        self.qg = np.empty((5, *padded))
+        self.interior = self.qg[_index(ndim, cell, slice(1, -1))]
+        self.speed_interior = _index(ndim - 1, axis, slice(1, -1))
+        ghosts = (slice(0, 1), slice(-1, None))
+        first, last = slice(1, 2), slice(-2, -1)  # edge cells of the interior
+        sources = {"outflow": (first, last), "periodic": (last, first)}
+        self.copies = []  # (ghost, source) views refreshed every step
+        for end, side in enumerate(sides):
+            ghost = self.qg[_index(ndim, cell, ghosts[end])]
+            if isinstance(side, str):
+                self.copies.append((ghost, self.qg[_index(ndim, cell, sources[side][end])]))
+            else:
+                np.copyto(ghost, np.reshape(side, (5,) + (1,) * (ndim - 1)))
+        padded[axis] -= 1
+        self.buf = _FaceBuffers(tuple(padded))
+
+    def faces(self, q: Array) -> tuple[Array, float]:
+        """HLL face fluxes along the axis and the largest interior wave speed.
+
+        Flux and extreme speeds are evaluated once per cell of the padded
+        buffer; ghost cells feed the boundary faces but not the speed,
+        so a pinned inflow state never sets the time step.
+        """
+        np.copyto(self.interior, q)
+        for ghost, src in self.copies:
+            np.copyto(ghost, src)
+        f = _axis_flux(self.qg, self.g, self.axis)
+        lo, hi = _axis_extreme_speeds(self.qg, self.g, self.axis)
+        smax = float(max(np.max(np.abs(lo[self.speed_interior])),
+                         np.max(np.abs(hi[self.speed_interior]))))
+        return _hll_faces(self.qg, f, lo, hi, self.axis, self.buf), smax
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +276,6 @@ class SimConfig:
             raise ConfigError(f"missing config key {exc}") from exc
 
 
-def _state_from_doc(doc: dict) -> State:
-    try:
-        return State(h=doc["h"], v=doc["v"], B=doc["B"])
-    except KeyError as exc:
-        raise ConfigError(f"state document missing key {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # Initial data
 
@@ -237,11 +323,11 @@ def _build_initial(cfg: SimConfig) -> _InitialData:
     if cfg.dimensions == 1:
         x, dx = _grid_1d(cfg)
         if kind == "uniform":
-            q = conserved_from_primitive(_state_from_doc(doc["state"]))
+            q = conserved_from_primitive(state_from_doc(doc["state"]))
             return _InitialData(q0=np.repeat(q[:, None], x.size, axis=1))
         if kind == "riemann":
-            qm = conserved_from_primitive(_state_from_doc(doc["minus"]))
-            qp = conserved_from_primitive(_state_from_doc(doc["plus"]))
+            qm = conserved_from_primitive(state_from_doc(doc["minus"]))
+            qp = conserved_from_primitive(state_from_doc(doc["plus"]))
             x_if = float(doc.get("interface", 0.5 * (x[0] + x[-1])))
             frac = np.clip((x_if - (x - 0.5 * dx)) / dx, 0.0, 1.0)
             level = 0.5 * (doc["minus"]["h"] + doc["plus"]["h"])
@@ -251,11 +337,11 @@ def _build_initial(cfg: SimConfig) -> _InitialData:
 
     x, y, dx, dy = _grid_2d(cfg)
     if kind == "uniform":
-        q = conserved_from_primitive(_state_from_doc(doc["state"]))
+        q = conserved_from_primitive(state_from_doc(doc["state"]))
         return _InitialData(q0=np.tile(q[:, None, None], (1, x.size, y.size)))
     if kind == "riemann":
-        qm = conserved_from_primitive(_state_from_doc(doc["minus"]))
-        qp = conserved_from_primitive(_state_from_doc(doc["plus"]))
+        qm = conserved_from_primitive(state_from_doc(doc["minus"]))
+        qp = conserved_from_primitive(state_from_doc(doc["plus"]))
         x_if = float(doc.get("interface", 0.5 * (x[0] + x[-1])))
         frac1d = np.clip((x_if - (x - 0.5 * dx)) / dx, 0.0, 1.0)
         frac = np.repeat(frac1d[:, None], y.size, axis=1)
@@ -263,8 +349,8 @@ def _build_initial(cfg: SimConfig) -> _InitialData:
         return _InitialData(q0=_mix(frac, qm, qp), front_level=level,
                             front_reference=x_if, inflow_left=qm, inflow_right=qp)
     if kind == "perturbed_shock":
-        qm = conserved_from_primitive(_state_from_doc(doc["minus"]))
-        qp = conserved_from_primitive(_state_from_doc(doc["plus"]))
+        qm = conserved_from_primitive(state_from_doc(doc["minus"]))
+        qp = conserved_from_primitive(state_from_doc(doc["plus"]))
         x_if = float(doc["front_position"])
         amp = float(doc.get("amplitude", 0.0))
         wavelengths = int(doc.get("wavelengths", 1))
@@ -309,21 +395,25 @@ def _vortex_data(doc: dict, x: Array, y: Array) -> Array:
 # Diagnostics
 
 
-def divergence_residual(q: Array, dx: float, dy: float, periodic_x: bool) -> Array:
-    """Forward-difference div(h B); x2 assumed periodic.
+def _forward_difference(a: Array, axis: int, periodic: bool) -> Array:
+    if periodic:
+        return np.roll(a, -1, axis=axis) - a
+    return np.diff(a, axis=axis)
 
-    The one-sided operator matches the first-order accuracy of the
-    scheme, so its value on smooth initial data sets the truncation
-    level against which transported divergence is judged.
+
+def divergence_residual(q: Array, dx: float, dy: float, periodic_x: bool,
+                        periodic_y: bool = True) -> Array:
+    """Forward-difference div(h B).
+
+    A periodic axis wraps around; along a non-periodic one the last cell
+    has no forward neighbour and is left out, so the result shrinks by
+    one along that axis.  The one-sided operator matches the first-order
+    accuracy of the scheme, so its value on smooth initial data sets the
+    truncation level against which transported divergence is judged.
     """
-    hb1 = q[3]
-    hb2 = q[4]
-    d2 = (np.roll(hb2, -1, axis=1) - hb2) / dy
-    if periodic_x:
-        d1 = (np.roll(hb1, -1, axis=0) - hb1) / dx
-        return d1 + d2
-    d1 = (hb1[1:, :] - hb1[:-1, :]) / dx
-    return d1 + d2[:-1, :]
+    d1 = _forward_difference(q[3], 0, periodic_x) / dx
+    d2 = _forward_difference(q[4], 1, periodic_y) / dy
+    return d1[:, :d2.shape[1]] + d2[:d1.shape[0], :]
 
 
 def front_positions(x: Array, h: Array, level: float) -> Array:
@@ -418,24 +508,15 @@ def _check_positive(q: Array, t: float, floor: float | None) -> Array:
     raise PositivityLoss(t)
 
 
-def _pad_x(q: Array, bc: tuple[str, str], inflow_left, inflow_right) -> Array:
-    if bc[0] == "periodic":
-        return np.concatenate([q[:, -1:], q, q[:, :1]], axis=1) if q.ndim == 2 \
-            else np.concatenate([q[:, -1:, :], q, q[:, :1, :]], axis=1)
-    left = q[:, :1] if q.ndim == 2 else q[:, :1, :]
-    right = q[:, -1:] if q.ndim == 2 else q[:, -1:, :]
-    if bc[0] == "inflow":
-        shape = left.shape
-        left = np.broadcast_to(inflow_left.reshape(5, *([1] * (q.ndim - 1))), shape).copy()
-    if bc[1] == "inflow":
-        shape = right.shape
-        right = np.broadcast_to(inflow_right.reshape(5, *([1] * (q.ndim - 1))), shape).copy()
-    return np.concatenate([left, q, right], axis=1)
+def _check_finite(value: float, t: float, what: str) -> None:
+    if not math.isfinite(value):
+        raise NonFiniteState(t, f"non-finite {what} at t={t:.6g}")
 
 
-def _max_speed(q: Array, g: float, axis: int) -> float:
-    lo, hi = _axis_extreme_speeds(q, g, axis)
-    return float(max(np.max(np.abs(lo)), np.max(np.abs(hi))))
+def _x1_sweep(q: Array, cfg: SimConfig, init: _InitialData) -> _AxisSweep:
+    inflow = (init.inflow_left, init.inflow_right)
+    sides = [inflow[end] if kind == "inflow" else kind for end, kind in enumerate(cfg.boundary_x1)]
+    return _AxisSweep(q.shape[1:], 0, sides, cfg.g)
 
 
 # ---------------------------------------------------------------------------
@@ -471,20 +552,21 @@ def simulate_1d(cfg: SimConfig) -> SimResult:
         rec.push((t, sums, float(q[0].min()), float(q[0].max()), 0.0,
                   fp, 0.0, _energy(q, g, dx)), t)
 
+    sweep_x = _x1_sweep(q, cfg, init)
     record()
     while t < cfg.end_time - 1e-14:
-        smax = _max_speed(q, g, 0)
+        f, smax = sweep_x.faces(q)
+        _check_finite(smax, t, "wave speed")
         dt = cfg.dt_fixed if cfg.dt_fixed else cfg.cfl * dx / smax
         if dt * smax / dx > 1.0 + 1e-12:
             raise CflViolation(f"Courant number {dt * smax / dx:.3f} exceeds 1 at t={t:.4g}")
         dt = min(dt, cfg.end_time - t)
-        qg = _pad_x(q, cfg.boundary_x1, init.inflow_left, init.inflow_right)
-        f = _hll_faces(qg[:, :-1], qg[:, 1:], g, 0)
         before = q.sum(axis=1)
         q = q - (dt / dx) * (f[:, 1:] - f[:, :-1])
         defect = (q.sum(axis=1) - before) * dx + dt * (f[:, -1] - f[:, 0])
-        max_defect = max(max_defect, float(np.max(np.abs(defect)) /
-                                           max(1.0, float(np.max(np.abs(before)) * dx))))
+        step_defect = float(np.max(np.abs(defect)) / max(1.0, float(np.max(np.abs(before)) * dx)))
+        _check_finite(step_defect, t + dt, "conservation defect")
+        max_defect = max(max_defect, step_defect)
         q = _check_positive(q, t + dt, cfg.positivity_floor)
         t += dt
         steps += 1
@@ -515,6 +597,7 @@ def simulate_2d(
     q = init.q0.copy()
     g = cfg.g
     periodic_x = cfg.boundary_x1[0] == "periodic"
+    periodic_y = cfg.boundary_x2 == "periodic"
     t = 0.0
     steps = 0
     max_defect = 0.0
@@ -524,7 +607,7 @@ def simulate_2d(
         if not rec.due(t, final):
             return
         sums = q.sum(axis=(1, 2)) * dx * dy
-        div = divergence_residual(q, dx, dy, periodic_x)
+        div = divergence_residual(q, dx, dy, periodic_x, periodic_y)
         fp = amp = np.nan
         if init.front_level is not None:
             rows = front_positions(x, q[0], init.front_level)
@@ -535,27 +618,17 @@ def simulate_2d(
         rec.push((t, sums, float(q[0].min()), float(q[0].max()),
                   float(np.max(np.abs(div))), fp, amp, _energy(q, g, dx * dy)), t)
 
+    sweep_x = _x1_sweep(q, cfg, init)
+    sweep_y = _AxisSweep(q.shape[1:], 1, (cfg.boundary_x2,) * 2, g)
     record()
     while t < cfg.end_time - 1e-14:
-        sx = _max_speed(q, g, 0)
-        sy = _max_speed(q, g, 1)
+        fx, sx = sweep_x.faces(q)
+        fy, sy = sweep_y.faces(q)
+        _check_finite(sx + sy, t, "wave speed")
         dt = cfg.dt_fixed if cfg.dt_fixed else cfg.cfl / (sx / dx + sy / dy)
         if dt * (sx / dx + sy / dy) > 1.0 + 1e-12:
             raise CflViolation(f"Courant number {dt * (sx / dx + sy / dy):.3f} exceeds 1 at t={t:.4g}")
         dt = min(dt, cfg.end_time - t)
-
-        if periodic_x:
-            qgx = np.concatenate([q[:, -1:, :], q, q[:, :1, :]], axis=1)
-        else:
-            qgx = _pad_x(q, cfg.boundary_x1, init.inflow_left, init.inflow_right)
-        fx = _hll_faces(qgx[:, :-1, :], qgx[:, 1:, :], g, 0)
-
-        if cfg.boundary_x2 == "periodic":
-            qgy = np.concatenate([q[:, :, -1:], q, q[:, :, :1]], axis=2)
-        else:
-            qgy = np.concatenate([q[:, :, :1], q, q[:, :, -1:]], axis=2)
-        fy = _hll_faces(qgy[:, :, :-1], qgy[:, :, 1:], g, 1)
-
         before = q.sum(axis=(1, 2))
         q = q - (dt / dx) * (fx[:, 1:, :] - fx[:, :-1, :]) \
               - (dt / dy) * (fy[:, :, 1:] - fy[:, :, :-1])
@@ -568,8 +641,10 @@ def simulate_2d(
         defect = (q.sum(axis=(1, 2)) - before) * dx * dy + boundary
         if source is not None:
             defect = defect - dt * s_arr.sum(axis=(1, 2)) * dx * dy
-        max_defect = max(max_defect, float(np.max(np.abs(defect)) /
-                                           max(1.0, float(np.max(np.abs(before)) * dx * dy))))
+        step_defect = float(np.max(np.abs(defect)) /
+                            max(1.0, float(np.max(np.abs(before)) * dx * dy)))
+        _check_finite(step_defect, t + dt, "conservation defect")
+        max_defect = max(max_defect, step_defect)
         q = _check_positive(q, t + dt, cfg.positivity_floor)
         t += dt
         steps += 1

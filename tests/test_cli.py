@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import numpy as np
+
 from smhd.cli import main
 
 RATIONAL_PAIR = {
@@ -231,6 +233,18 @@ def test_simulate_cfl_violation_exit_4(tmp_path, capsys):
     assert main(["simulate", "--config", _write(tmp_path, "c.json", cfg),
                  "--out", str(tmp_path)]) == 4
     capsys.readouterr()
+
+
+def test_simulate_non_finite_state_exit_5(tmp_path, capsys):
+    cfg = {"kind": "fv", "dimensions": 1, "cells": [32], "extents": [[0, 1]],
+           "end_time": 1.0, "positivity_floor": 1e-10,
+           "initial": {"type": "uniform",
+                       "state": {"h": 1.0, "v": [1e155, 0.0], "B": [0.0, 0.0]}}}
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["simulate", "--config", _write(tmp_path, "c.json", cfg),
+                     "--out", str(tmp_path)])
+    assert code == 5
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_simulate_linear_kind(tmp_path, capsys):

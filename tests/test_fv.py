@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 
 from smhd.core import PhysParams, State, conserved_from_primitive, fluxes
-from smhd.errors import CflViolation, ConfigError, PositivityLoss
+from smhd.errors import CflViolation, ConfigError, NonFiniteState, PositivityLoss
 from smhd.fv import (
     SimConfig,
+    _AxisSweep,
+    _FaceBuffers,
+    _axis_extreme_speeds,
+    _axis_flux,
     _check_positive,
+    _hll_faces,
     divergence_residual,
     front_positions,
     hll_flux,
@@ -62,6 +67,100 @@ def test_hll_reflected_pair_symmetry():
     assert abs(f[2]) < 1e-14           # nor tangential momentum
     back = hll_flux(u, mirror, [-1.0, 0.0], p)
     assert abs(f[1] - (-back[1])) < 1e-13  # normal momentum flux reflects
+
+
+def _two_sided_faces(ql, qr, g, axis):
+    """Reference HLL faces: flux and speeds evaluated from each face's two states."""
+    fl = _axis_flux(ql, g, axis)
+    fr = _axis_flux(qr, g, axis)
+    lo_l, hi_l = _axis_extreme_speeds(ql, g, axis)
+    lo_r, hi_r = _axis_extreme_speeds(qr, g, axis)
+    s_left = np.minimum(lo_l, lo_r)
+    s_right = np.maximum(hi_l, hi_r)
+    denom = s_right - s_left
+    denom = np.where(denom == 0.0, 1.0, denom)
+    middle = (s_right * fl - s_left * fr + s_left * s_right * (qr - ql)) / denom
+    return np.where(s_left >= 0.0, fl, np.where(s_right <= 0.0, fr, middle))
+
+
+def _random_cells(rng, shape, normal_axis, vn_range):
+    """Conserved fields with h in [0.5, 2], |B|, |v_t| <= 1 and v_n drawn from vn_range."""
+    h = rng.uniform(0.5, 2.0, size=shape)
+    v = rng.uniform(-1.0, 1.0, size=(2, *shape))
+    v[normal_axis] = rng.uniform(*vn_range, size=shape)
+    b = rng.uniform(-1.0, 1.0, size=(2, *shape))
+    return np.stack([h, h * v[0], h * v[1], h * b[0], h * b[1]])
+
+
+def _faces_of(q, axis):
+    n = q.shape[1 + axis]
+    left = np.take(q, np.arange(n - 1), axis=1 + axis)
+    right = np.take(q, np.arange(1, n), axis=1 + axis)
+    return left, right
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("regime, vn_range", [
+    ("supersonic-left-going", (-30.0, -20.0)),
+    ("supersonic-right-going", (20.0, 30.0)),
+    ("subsonic", (-0.5, 0.5)),
+    ("mixed", (-5.0, 5.0)),
+])
+def test_hll_faces_bit_identical_to_two_sided_formula(rng, axis, regime, vn_range):
+    g = 1.3
+    shape = (33, 17) if axis == 0 else (17, 33)
+    q = _random_cells(rng, shape, axis, vn_range)
+    face_shape = list(shape)
+    face_shape[axis] -= 1
+    lo, hi = _axis_extreme_speeds(q, g, axis)
+    got = _hll_faces(q, _axis_flux(q, g, axis), lo, hi, axis, _FaceBuffers(tuple(face_shape)))
+    ql, qr = _faces_of(q, axis)
+    assert np.array_equal(got, _two_sided_faces(ql, qr, g, axis))
+    s_left = np.minimum(*_faces_of(lo[None], axis))
+    s_right = np.maximum(*_faces_of(hi[None], axis))
+    branches = {"supersonic-right-going": s_left >= 0.0,
+                "supersonic-left-going": s_right <= 0.0,
+                "subsonic": (s_left < 0.0) & (s_right > 0.0)}
+    if regime in branches:
+        assert np.all(branches[regime])
+    else:
+        assert all(np.any(taken) for taken in branches.values())
+
+
+@pytest.mark.parametrize("sides", [("periodic", "periodic"), ("outflow", "outflow"),
+                                   ("inflow", "outflow")])
+def test_axis_sweep_ghosts_and_interior_speed(rng, sides):
+    g = 1.0
+    q = _random_cells(rng, (24, 6), 0, (-2.0, 2.0))
+    pinned = np.array([1.0, 9.0, 0.0, 0.5, 0.0])
+    sweep = _AxisSweep(q.shape[1:], 0, [pinned if s == "inflow" else s for s in sides], g)
+    faces, smax = sweep.faces(q)
+    if sides[0] == "periodic":
+        lo_ghost, hi_ghost = q[:, -1:], q[:, :1]
+    else:
+        lo_ghost, hi_ghost = q[:, :1], q[:, -1:]
+    if sides[0] == "inflow":
+        lo_ghost = np.repeat(pinned[:, None, None], q.shape[2], axis=2)
+    padded = np.concatenate([lo_ghost, q, hi_ghost], axis=1)
+    assert np.array_equal(faces, _two_sided_faces(padded[:, :-1], padded[:, 1:], g, 0))
+    lo, hi = _axis_extreme_speeds(q, g, 0)
+    assert smax == max(np.max(np.abs(lo)), np.max(np.abs(hi)))
+
+
+def test_inflow_ghost_does_not_set_time_step():
+    # Every cell holds the slow state; the pinned inflow ghost is much faster.
+    slow = {"h": 1.0, "v": [0.25, 0.0], "B": [0.75, 0.0]}
+    fast = {"h": 1.0, "v": [6.0, 0.0], "B": [1.0, 0.0]}
+    cells, cfl = 64, 0.45
+    dx = 1.0 / cells
+    dt_interior = cfl * dx / (0.25 + math.sqrt(0.75 * 0.75 + 1.0))
+    cfg = SimConfig(dimensions=1, cells=(cells,), extents=((0.0, 1.0),),
+                    end_time=dt_interior, cfl=cfl, boundary_x1=("inflow", "outflow"),
+                    initial={"type": "riemann", "minus": fast, "plus": slow,
+                             "interface": -1.0})
+    res = simulate_1d(cfg)
+    assert res.steps == 1
+    assert res.times[-1] == dt_interior
 
 
 def test_uniform_state_is_fixed_point():
@@ -214,6 +313,28 @@ def test_positivity_guard():
     assert clipped[0, 2] == 1e-10
 
 
+def test_non_finite_state_raises_1d():
+    # The momentum flux overflows, so the first update leaves NaN momentum
+    # behind while every height stays positive.
+    cfg = SimConfig(dimensions=1, cells=(32,), extents=((0.0, 1.0),), end_time=1.0,
+                    positivity_floor=1e-10,
+                    initial={"type": "uniform",
+                             "state": {"h": 1.0, "v": [1e155, 0.0], "B": [0.0, 0.0]}})
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState):
+        simulate_1d(cfg)
+
+
+def test_non_finite_state_raises_2d():
+    cfg = SimConfig(dimensions=2, cells=(16, 8), extents=((0.0, 1.0), (0.0, 1.0)),
+                    end_time=0.2, boundary_x1="periodic", positivity_floor=1e-10,
+                    initial={"type": "vortex"})
+    q0 = np.ones((5, 16, 8))
+    q0[1, 5, 3] = np.nan
+    with pytest.raises(NonFiniteState) as info:
+        simulate_2d(cfg, q0=q0)
+    assert info.value.time == 0.0
+
+
 def test_cfl_validation():
     with pytest.raises(CflViolation):
         _riemann_cfg(cfl=1.5)
@@ -246,3 +367,17 @@ def test_divergence_residual_zero_for_uniform():
     q = np.ones((5, 16, 16))
     r = divergence_residual(q, 0.1, 0.1, periodic_x=True)
     assert np.max(np.abs(r)) == 0.0
+
+
+def test_divergence_residual_does_not_wrap_outflow_x2():
+    q = np.zeros((5, 8, 8))
+    q[4] = 0.5 * np.arange(8)[None, :]  # linear h B2 ramp: div(h B) = 1
+    r = divergence_residual(q, 0.25, 0.5, periodic_x=True, periodic_y=False)
+    assert r.shape == (8, 7)
+    assert np.all(r == 1.0)
+    r = divergence_residual(q, 0.25, 0.5, periodic_x=False, periodic_y=False)
+    assert r.shape == (7, 7)
+    assert np.all(r == 1.0)
+    wrapped = divergence_residual(q, 0.25, 0.5, periodic_x=True)
+    assert wrapped.shape == (8, 8)
+    assert np.all(wrapped[:, -1] == -7.0)
