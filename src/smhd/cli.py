@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import PhysParams, State
+from .core import PhysParams
 from .errors import (
     CflViolation,
     ConfigError,
@@ -38,7 +38,7 @@ from .ioutil import (
 from .jumps import DiscontinuityType, classify, rh_residual, trace_quantities
 from .linear import LinearConfig, linear_halfplane_simulate
 from .shock import lax_verdict, linearized_setup, rectilinear_shock
-from .sweep import SweepSpec, run_sweep, sweep_csv, sweep_svg
+from .sweep import SweepSpec, run_sweep, sweep_csv, sweep_svg, symmetric_pair
 from .symmetrization import cvs_nsc_verdict, cvs_sufficient_verdict, lambda_for_cvs
 
 
@@ -183,8 +183,7 @@ def cmd_stability(args) -> int:
         }
     else:
         try:
-            plus = State(h=args.h, v=[0.0, 0.5 * args.v2_jump], B=[0.0, args.b2_plus])
-            minus = State(h=args.h, v=[0.0, -0.5 * args.v2_jump], B=[0.0, -args.b2_plus])
+            plus, minus = symmetric_pair(args.v2_jump, args.b2_plus, args.h)
             verdict = cvs_nsc_verdict(plus, minus, PhysParams(g=args.g), tol=args.tol)
         except SmhdError as exc:
             print(f"stability: {exc}", file=sys.stderr)

@@ -8,6 +8,9 @@ be observed rather than enforced.  Heights are never clipped unless an
 explicit positivity floor is requested; otherwise a run aborts with
 PositivityLoss.
 
+``simulate_1d`` and ``simulate_2d`` run the same time loop
+(``_simulate``) over their active axes: the CFL rate, the flux-difference
+update and the boundary-flux conservation defect are sums over axes.
 Each step makes one pass per axis (``_AxisSweep.faces``): the state
 and its ghost cells are copied into a padded buffer allocated once per
 run, the physical flux and the extreme wave speeds are evaluated once
@@ -25,7 +28,7 @@ bit-for-bit reproducible for identical inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -67,12 +70,12 @@ def _axis_flux(q: Array, g: float, axis: int) -> Array:
     h = q[0]
     v1 = q[1] / h
     v2 = q[2] / h
-    b1 = q[3] / h
     b2 = q[4] / h
     pres = 0.5 * g * h * h
     w = q[3] * v2 - q[4] * v1  # h (B1 v2 - B2 v1)
     f = np.empty_like(q)
     if axis == 0:
+        b1 = q[3] / h
         f[0] = q[1]
         f[1] = q[1] * v1 - q[3] * b1 + pres
         f[2] = q[1] * v2 - q[3] * b2
@@ -274,27 +277,22 @@ class SimConfig:
             )
         except KeyError as exc:
             raise ConfigError(f"missing config key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed config value: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # Initial data
 
 
-def _grid_1d(cfg: SimConfig) -> tuple[Array, float]:
-    (x0, x1), = cfg.extents
-    nx = cfg.cells[0]
-    dx = (x1 - x0) / nx
-    return x0 + dx * (np.arange(nx) + 0.5), dx
-
-
-def _grid_2d(cfg: SimConfig) -> tuple[Array, Array, float, float]:
-    (x0, x1), (y0, y1) = cfg.extents
-    nx, ny = cfg.cells
-    dx = (x1 - x0) / nx
-    dy = (y1 - y0) / ny
-    x = x0 + dx * (np.arange(nx) + 0.5)
-    y = y0 + dy * (np.arange(ny) + 0.5)
-    return x, y, dx, dy
+def _grid(cfg: SimConfig) -> tuple[list[Array], list[float]]:
+    """Cell centres and the cell width along each axis."""
+    centers, widths = [], []
+    for (lo, hi), n in zip(cfg.extents, cfg.cells):
+        d = (hi - lo) / n
+        centers.append(lo + d * (np.arange(n) + 0.5))
+        widths.append(d)
+    return centers, widths
 
 
 def _mix(frac: Array, q_left: Array, q_right: Array) -> Array:
@@ -320,50 +318,35 @@ class _InitialData:
 def _build_initial(cfg: SimConfig) -> _InitialData:
     doc = cfg.initial
     kind = doc["type"]
-    if cfg.dimensions == 1:
-        x, dx = _grid_1d(cfg)
-        if kind == "uniform":
-            q = conserved_from_primitive(state_from_doc(doc["state"]))
-            return _InitialData(q0=np.repeat(q[:, None], x.size, axis=1))
-        if kind == "riemann":
-            qm = conserved_from_primitive(state_from_doc(doc["minus"]))
-            qp = conserved_from_primitive(state_from_doc(doc["plus"]))
-            x_if = float(doc.get("interface", 0.5 * (x[0] + x[-1])))
-            frac = np.clip((x_if - (x - 0.5 * dx)) / dx, 0.0, 1.0)
-            level = 0.5 * (doc["minus"]["h"] + doc["plus"]["h"])
-            return _InitialData(q0=_mix(frac, qm, qp), front_level=level,
-                                front_reference=x_if, inflow_left=qm, inflow_right=qp)
-        raise ConfigError(f"unknown 1D initial type {kind!r}")
-
-    x, y, dx, dy = _grid_2d(cfg)
+    ndim = cfg.dimensions
+    kinds = ("uniform", "riemann") + (("perturbed_shock", "vortex") if ndim == 2 else ())
+    if kind not in kinds:
+        raise ConfigError(f"unknown {ndim}D initial type {kind!r}")
+    centers, widths = _grid(cfg)
     if kind == "uniform":
         q = conserved_from_primitive(state_from_doc(doc["state"]))
-        return _InitialData(q0=np.tile(q[:, None, None], (1, x.size, y.size)))
+        return _InitialData(q0=np.tile(q.reshape((5,) + (1,) * ndim), (1, *cfg.cells)))
+    if kind == "vortex":
+        return _InitialData(q0=_vortex_data(doc, *centers))
+    qm = conserved_from_primitive(state_from_doc(doc["minus"]))
+    qp = conserved_from_primitive(state_from_doc(doc["plus"]))
+    x, dx = centers[0], widths[0]
+    # x1 position of the front in every x2 row
     if kind == "riemann":
-        qm = conserved_from_primitive(state_from_doc(doc["minus"]))
-        qp = conserved_from_primitive(state_from_doc(doc["plus"]))
         x_if = float(doc.get("interface", 0.5 * (x[0] + x[-1])))
-        frac1d = np.clip((x_if - (x - 0.5 * dx)) / dx, 0.0, 1.0)
-        frac = np.repeat(frac1d[:, None], y.size, axis=1)
-        level = 0.5 * (doc["minus"]["h"] + doc["plus"]["h"])
-        return _InitialData(q0=_mix(frac, qm, qp), front_level=level,
-                            front_reference=x_if, inflow_left=qm, inflow_right=qp)
-    if kind == "perturbed_shock":
-        qm = conserved_from_primitive(state_from_doc(doc["minus"]))
-        qp = conserved_from_primitive(state_from_doc(doc["plus"]))
+        front = np.full(cfg.cells[1:], x_if)
+    else:
         x_if = float(doc["front_position"])
         amp = float(doc.get("amplitude", 0.0))
         wavelengths = int(doc.get("wavelengths", 1))
         (y0, y1) = cfg.extents[1]
         k = 2.0 * math.pi * wavelengths / (y1 - y0)
-        front = x_if + amp * np.cos(k * (y - y0))
-        frac = np.clip((front[None, :] - (x[:, None] - 0.5 * dx)) / dx, 0.0, 1.0)
-        level = 0.5 * (doc["minus"]["h"] + doc["plus"]["h"])
-        return _InitialData(q0=_mix(frac, qm, qp), front_level=level,
-                            front_reference=x_if, inflow_left=qm, inflow_right=qp)
-    if kind == "vortex":
-        return _InitialData(q0=_vortex_data(doc, x, y))
-    raise ConfigError(f"unknown 2D initial type {kind!r}")
+        front = x_if + amp * np.cos(k * (centers[1] - y0))
+    left_edges = (x - 0.5 * dx).reshape((-1,) + (1,) * (ndim - 1))
+    frac = np.clip((front - left_edges) / dx, 0.0, 1.0)
+    level = 0.5 * (doc["minus"]["h"] + doc["plus"]["h"])
+    return _InitialData(q0=_mix(frac, qm, qp), front_level=level,
+                        front_reference=x_if, inflow_left=qm, inflow_right=qp)
 
 
 def _vortex_data(doc: dict, x: Array, y: Array) -> Array:
@@ -513,14 +496,107 @@ def _check_finite(value: float, t: float, what: str) -> None:
         raise NonFiniteState(t, f"non-finite {what} at t={t:.6g}")
 
 
-def _x1_sweep(q: Array, cfg: SimConfig, init: _InitialData) -> _AxisSweep:
-    inflow = (init.inflow_left, init.inflow_right)
-    sides = [inflow[end] if kind == "inflow" else kind for end, kind in enumerate(cfg.boundary_x1)]
-    return _AxisSweep(q.shape[1:], 0, sides, cfg.g)
-
-
 # ---------------------------------------------------------------------------
 # Simulators
+
+
+def _simulate(cfg: SimConfig, source: Callable[..., Array] | None = None,
+              q0: Array | None = None) -> SimResult:
+    """The Godunov/HLL time loop over the active axes of a 1D or 2D run.
+
+    Per step: HLL faces and the largest interior wave speed along each
+    axis, dt from the Courant number summed over the axes, the
+    flux-difference update, and the relative conservation defect (the
+    change of each cell sum against the boundary flux).
+    """
+    ndim = cfg.dimensions
+    centers, widths = _grid(cfg)
+    init = _build_initial(cfg) if q0 is None else _InitialData(q0=np.asarray(q0, dtype=float))
+    if init.q0.shape != (5, *cfg.cells):
+        raise ConfigError(f"initial data shape {init.q0.shape} does not match the grid")
+    init.check_boundary(cfg.boundary_x1)
+    q = init.q0.copy()
+    g = cfg.g
+    cell_axes = tuple(range(1, ndim + 1))
+    inflow = (init.inflow_left, init.inflow_right)
+    sides = ([inflow[end] if bc == "inflow" else bc for end, bc in enumerate(cfg.boundary_x1)],
+             (cfg.boundary_x2,) * 2)
+    sweeps = [_AxisSweep(cfg.cells, axis, sides[axis], g) for axis in range(ndim)]
+    # face area normal to each axis: the product of the other widths (1.0 in 1D)
+    areas = [math.prod(widths[:axis] + widths[axis + 1:]) for axis in range(ndim)]
+    mesh = np.meshgrid(*centers, indexing="ij") if source is not None else None
+    periodic = (cfg.boundary_x1[0] == "periodic", cfg.boundary_x2 == "periodic")
+    t = 0.0
+    steps = 0
+    max_defect = 0.0
+    rec = _Recorder(cfg)
+
+    def volume(s):
+        """``s`` times the cell volume, one width at a time: the rounding of s * dx * dy."""
+        for d in widths:
+            s = s * d
+        return s
+
+    def record(final=False):
+        if not rec.due(t, final):
+            return
+        # a 1D run has no divergence, and its point front no amplitude
+        div = amp = 0.0
+        if ndim == 2:
+            div = float(np.max(np.abs(divergence_residual(q, *widths, *periodic))))
+            amp = np.nan
+        fp = np.nan
+        if init.front_level is not None:
+            rows = front_positions(centers[0], q[0], init.front_level)
+            good = rows[np.isfinite(rows)]
+            if good.size:
+                fp = float(np.mean(good))
+                amp = float(math.sqrt(2.0) * np.std(good))
+        rec.push((t, volume(q.sum(axis=cell_axes)), float(q[0].min()), float(q[0].max()),
+                  div, fp, amp, _energy(q, g, math.prod(widths))), t)
+
+    record()
+    while t < cfg.end_time - 1e-14:
+        faces, speeds = zip(*(sweep.faces(q) for sweep in sweeps))
+        _check_finite(sum(speeds), t, "wave speed")
+        rate = sum(s / d for s, d in zip(speeds, widths))  # Courant number per unit time
+        if cfg.dt_fixed:
+            dt = cfg.dt_fixed
+        elif ndim == 1:  # keeps the rounding of cfl * dx / smax
+            dt = cfg.cfl * widths[0] / speeds[0]
+        else:
+            dt = cfg.cfl / rate
+        if dt * rate > 1.0 + 1e-12:
+            raise CflViolation(f"Courant number {dt * rate:.3f} exceeds 1 at t={t:.4g}")
+        dt = min(dt, cfg.end_time - t)
+        before = q.sum(axis=cell_axes)
+        boundary = 0.0
+        for axis, f in enumerate(faces):
+            left, right = _sides(f, 1 + axis)
+            q = q - (dt / widths[axis]) * (right - left)
+            first = f[_index(f.ndim, 1 + axis, 0)].sum(axis=cell_axes[:-1])
+            last = f[_index(f.ndim, 1 + axis, -1)].sum(axis=cell_axes[:-1])
+            boundary = boundary + dt * areas[axis] * (last - first)
+        if source is not None:
+            s_arr = source(t, *mesh)
+            q = q + dt * s_arr
+        defect = volume(q.sum(axis=cell_axes) - before) + boundary
+        if source is not None:
+            defect = defect - volume(dt * s_arr.sum(axis=cell_axes))
+        step_defect = float(np.max(np.abs(defect)) /
+                            max(1.0, float(volume(np.max(np.abs(before))))))
+        _check_finite(step_defect, t + dt, "conservation defect")
+        max_defect = max(max_defect, step_defect)
+        q = _check_positive(q, t + dt, cfg.positivity_floor)
+        t += dt
+        steps += 1
+        record(final=t >= cfg.end_time - 1e-14)
+
+    grid = dict(zip("xy", centers))
+    grid.update(zip(("dx", "dy"), widths))
+    # each recorded row holds the time-series fields of SimResult in field order
+    return SimResult(*map(np.array, zip(*rec.rows)), max_conservation_defect=max_defect,
+                     snapshot=q, grid=grid, steps=steps)
 
 
 def simulate_1d(cfg: SimConfig) -> SimResult:
@@ -532,47 +608,7 @@ def simulate_1d(cfg: SimConfig) -> SimResult:
     """
     if cfg.dimensions != 1:
         raise ConfigError("simulate_1d needs a 1-dimensional config")
-    x, dx = _grid_1d(cfg)
-    init = _build_initial(cfg)
-    init.check_boundary(cfg.boundary_x1)
-    q = init.q0.copy()
-    g = cfg.g
-    t = 0.0
-    steps = 0
-    max_defect = 0.0
-    rec = _Recorder(cfg)
-
-    def record(final=False):
-        if not rec.due(t, final):
-            return
-        sums = q.sum(axis=1) * dx
-        fp = np.nan
-        if init.front_level is not None:
-            fp = front_positions(x, q[0], init.front_level)[0]
-        rec.push((t, sums, float(q[0].min()), float(q[0].max()), 0.0,
-                  fp, 0.0, _energy(q, g, dx)), t)
-
-    sweep_x = _x1_sweep(q, cfg, init)
-    record()
-    while t < cfg.end_time - 1e-14:
-        f, smax = sweep_x.faces(q)
-        _check_finite(smax, t, "wave speed")
-        dt = cfg.dt_fixed if cfg.dt_fixed else cfg.cfl * dx / smax
-        if dt * smax / dx > 1.0 + 1e-12:
-            raise CflViolation(f"Courant number {dt * smax / dx:.3f} exceeds 1 at t={t:.4g}")
-        dt = min(dt, cfg.end_time - t)
-        before = q.sum(axis=1)
-        q = q - (dt / dx) * (f[:, 1:] - f[:, :-1])
-        defect = (q.sum(axis=1) - before) * dx + dt * (f[:, -1] - f[:, 0])
-        step_defect = float(np.max(np.abs(defect)) / max(1.0, float(np.max(np.abs(before)) * dx)))
-        _check_finite(step_defect, t + dt, "conservation defect")
-        max_defect = max(max_defect, step_defect)
-        q = _check_positive(q, t + dt, cfg.positivity_floor)
-        t += dt
-        steps += 1
-        record(final=t >= cfg.end_time - 1e-14)
-
-    return _pack_result(rec, q, {"x": x, "dx": dx}, steps, max_defect)
+    return _simulate(cfg)
 
 
 def simulate_2d(
@@ -588,87 +624,7 @@ def simulate_2d(
     """
     if cfg.dimensions != 2:
         raise ConfigError("simulate_2d needs a 2-dimensional config")
-    x, y, dx, dy = _grid_2d(cfg)
-    xx, yy = np.meshgrid(x, y, indexing="ij")
-    init = _build_initial(cfg) if q0 is None else _InitialData(q0=np.asarray(q0, dtype=float))
-    if init.q0.shape != (5, x.size, y.size):
-        raise ConfigError(f"initial data shape {init.q0.shape} does not match the grid")
-    init.check_boundary(cfg.boundary_x1)
-    q = init.q0.copy()
-    g = cfg.g
-    periodic_x = cfg.boundary_x1[0] == "periodic"
-    periodic_y = cfg.boundary_x2 == "periodic"
-    t = 0.0
-    steps = 0
-    max_defect = 0.0
-    rec = _Recorder(cfg)
-
-    def record(final=False):
-        if not rec.due(t, final):
-            return
-        sums = q.sum(axis=(1, 2)) * dx * dy
-        div = divergence_residual(q, dx, dy, periodic_x, periodic_y)
-        fp = amp = np.nan
-        if init.front_level is not None:
-            rows = front_positions(x, q[0], init.front_level)
-            good = rows[np.isfinite(rows)]
-            if good.size:
-                fp = float(np.mean(good))
-                amp = float(math.sqrt(2.0) * np.std(good))
-        rec.push((t, sums, float(q[0].min()), float(q[0].max()),
-                  float(np.max(np.abs(div))), fp, amp, _energy(q, g, dx * dy)), t)
-
-    sweep_x = _x1_sweep(q, cfg, init)
-    sweep_y = _AxisSweep(q.shape[1:], 1, (cfg.boundary_x2,) * 2, g)
-    record()
-    while t < cfg.end_time - 1e-14:
-        fx, sx = sweep_x.faces(q)
-        fy, sy = sweep_y.faces(q)
-        _check_finite(sx + sy, t, "wave speed")
-        dt = cfg.dt_fixed if cfg.dt_fixed else cfg.cfl / (sx / dx + sy / dy)
-        if dt * (sx / dx + sy / dy) > 1.0 + 1e-12:
-            raise CflViolation(f"Courant number {dt * (sx / dx + sy / dy):.3f} exceeds 1 at t={t:.4g}")
-        dt = min(dt, cfg.end_time - t)
-        before = q.sum(axis=(1, 2))
-        q = q - (dt / dx) * (fx[:, 1:, :] - fx[:, :-1, :]) \
-              - (dt / dy) * (fy[:, :, 1:] - fy[:, :, :-1])
-        if source is not None:
-            s_arr = source(t, xx, yy)
-            q = q + dt * s_arr
-
-        boundary = dt * dy * (fx[:, -1, :].sum(axis=1) - fx[:, 0, :].sum(axis=1)) \
-            + dt * dx * (fy[:, :, -1].sum(axis=1) - fy[:, :, 0].sum(axis=1))
-        defect = (q.sum(axis=(1, 2)) - before) * dx * dy + boundary
-        if source is not None:
-            defect = defect - dt * s_arr.sum(axis=(1, 2)) * dx * dy
-        step_defect = float(np.max(np.abs(defect)) /
-                            max(1.0, float(np.max(np.abs(before)) * dx * dy)))
-        _check_finite(step_defect, t + dt, "conservation defect")
-        max_defect = max(max_defect, step_defect)
-        q = _check_positive(q, t + dt, cfg.positivity_floor)
-        t += dt
-        steps += 1
-        record(final=t >= cfg.end_time - 1e-14)
-
-    return _pack_result(rec, q, {"x": x, "y": y, "dx": dx, "dy": dy}, steps, max_defect)
-
-
-def _pack_result(rec: _Recorder, q: Array, grid: dict, steps: int, max_defect: float) -> SimResult:
-    rows = rec.rows
-    return SimResult(
-        times=np.array([r[0] for r in rows]),
-        conserved=np.array([r[1] for r in rows]),
-        h_min=np.array([r[2] for r in rows]),
-        h_max=np.array([r[3] for r in rows]),
-        div_norm=np.array([r[4] for r in rows]),
-        front_position=np.array([r[5] for r in rows]),
-        front_amplitude=np.array([r[6] for r in rows]),
-        energy=np.array([r[7] for r in rows]),
-        max_conservation_defect=max_defect,
-        snapshot=q,
-        grid=grid,
-        steps=steps,
-    )
+    return _simulate(cfg, source, q0)
 
 
 def perturbed_shock_experiment(
@@ -696,24 +652,12 @@ def perturbed_shock_experiment(
         "type": "perturbed_shock",
         "minus": {"h": minus.h, "v": list(minus.v), "B": list(minus.B)},
         "plus": {"h": plus.h, "v": list(plus.v), "B": list(plus.B)},
-        "front_position": cfg.initial.get("front_position", 0.5 * (x0 + x1))
-        if isinstance(cfg.initial, dict) else 0.5 * (x0 + x1),
+        "front_position": cfg.initial.get("front_position", 0.5 * (x0 + x1)),
         "amplitude": amplitude,
         "wavelengths": wavelengths,
     }
     upstream_supersonic = normal_speeds(minus, PhysParams(g=shock.g), [1.0, 0.0])[0] > 0.0
-    run_cfg = SimConfig(
-        dimensions=2,
-        cells=cfg.cells,
-        extents=cfg.extents,
-        end_time=cfg.end_time,
-        initial=doc,
-        cfl=cfg.cfl,
-        g=shock.g,
-        output_interval=cfg.output_interval,
-        boundary_x1=("inflow" if upstream_supersonic else "outflow", "outflow"),
-        boundary_x2="periodic",
-        dt_fixed=cfg.dt_fixed,
-        positivity_floor=cfg.positivity_floor,
-    )
+    run_cfg = replace(cfg, dimensions=2, initial=doc, g=shock.g,
+                      boundary_x1=("inflow" if upstream_supersonic else "outflow", "outflow"),
+                      boundary_x2="periodic")
     return simulate_2d(run_cfg)

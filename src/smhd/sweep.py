@@ -90,7 +90,8 @@ class SweepSpec:
             raise ConfigError(f"malformed sweep spec: {exc}") from exc
 
 
-def _symmetric_pair(v2_jump: float, b2_plus: float, h: float) -> tuple[State, State]:
+def symmetric_pair(v2_jump: float, b2_plus: float, h: float) -> tuple[State, State]:
+    """Sheet sides (plus, minus) with v2 = +-v2_jump/2 and B2 = +-b2_plus, v1 = B1 = 0."""
     plus = State(h=h, v=[0.0, 0.5 * v2_jump], B=[0.0, b2_plus])
     minus = State(h=h, v=[0.0, -0.5 * v2_jump], B=[0.0, -b2_plus])
     return plus, minus
@@ -110,14 +111,14 @@ def evaluate_point(spec: SweepSpec, xv: float, yv: float) -> tuple[int, float]:
             diag = lax_verdict(shock.side_pair())
             return (CODE_STABLE if diag.satisfied else CODE_UNSTABLE, abs(diag.height_jump))
         if spec.verdict == "cvs-sufficient":
-            plus, minus = _symmetric_pair(float(p["v2_jump"]), float(p["b2_plus"]),
-                                          float(p.get("h", 1.0)))
+            plus, minus = symmetric_pair(float(p["v2_jump"]), float(p["b2_plus"]),
+                                         float(p.get("h", 1.0)))
             verdict = cvs_sufficient_verdict(plus, minus, float(p.get("epsilon", 1e-6)))
             code = CODE_STABLE if verdict.tag is CvsStability.SUFFICIENTLY_STABLE \
                 else CODE_INCONCLUSIVE
             return code, verdict.margin
-        plus, minus = _symmetric_pair(float(p["v2_jump"]), float(p["b2_plus"]),
-                                      float(p.get("h", 1.0)))
+        plus, minus = symmetric_pair(float(p["v2_jump"]), float(p["b2_plus"]),
+                                     float(p.get("h", 1.0)))
         verdict = cvs_nsc_verdict(plus, minus, PhysParams(g))
         code = {
             CvsStability.NSC_STABLE: CODE_STABLE,

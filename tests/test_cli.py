@@ -224,6 +224,15 @@ def test_simulate_bad_config_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_malformed_value_exit_1(tmp_path, capsys):
+    cfg = {"kind": "fv", "dimensions": 1, "cells": ["ab"], "extents": [[-1, 1]],
+           "end_time": 1.0, "initial": {"type": "uniform",
+                                        "state": {"h": 1, "v": [0, 0], "B": [0, 0]}}}
+    assert main(["simulate", "--config", _write(tmp_path, "c.json", cfg),
+                 "--out", str(tmp_path)]) == 1
+    assert "malformed config value" in capsys.readouterr().err
+
+
 def test_simulate_cfl_violation_exit_4(tmp_path, capsys):
     cfg = {"kind": "fv", "dimensions": 1, "cells": [32], "extents": [[-1, 1]],
            "end_time": 0.5, "dt_fixed": 1.0,

@@ -215,7 +215,25 @@ def test_2d_reduces_to_1d_columnwise():
                               "plus": RATIONAL_PLUS, "interface": 0.0})
     res2 = simulate_2d(cfg2)
     for j in range(8):
-        assert np.max(np.abs(res2.snapshot[:, :, j] - res1.snapshot)) < 1e-12
+        assert np.array_equal(res2.snapshot[:, :, j], res1.snapshot)
+
+
+def test_record_rules_per_dimension():
+    # 1D runs record no divergence and a zero front amplitude, tracked or not;
+    # an untracked 2D run records a NaN amplitude.
+    uniform = {"type": "uniform", "state": {"h": 1.3, "v": [0.4, -0.2], "B": [0.7, 0.1]}}
+    riemann = simulate_1d(_riemann_cfg(cells=64, end_time=0.5))
+    flat = simulate_1d(SimConfig(dimensions=1, cells=(32,), extents=((0.0, 1.0),),
+                                 end_time=0.2, initial=uniform))
+    for res in (riemann, flat):
+        assert np.all(res.div_norm == 0.0)
+        assert np.all(res.front_amplitude == 0.0)
+    assert np.all(np.isfinite(riemann.front_position))
+    assert np.all(np.isnan(flat.front_position))
+    flat2d = simulate_2d(SimConfig(dimensions=2, cells=(16, 12), extents=((0.0, 1.0), (0.0, 1.0)),
+                                   end_time=0.1, boundary_x1="periodic", initial=uniform))
+    assert np.all(np.isnan(flat2d.front_amplitude))
+    assert np.all(np.isnan(flat2d.front_position))
 
 
 def test_vortex_divergence_stays_near_truncation_level():
