@@ -50,9 +50,12 @@ from .symmetrization import (
     SecondaryMatrices,
     SymmetrizerChoice,
     boundary_energy_term,
+    cvs_nsc_kernel,
     cvs_nsc_verdict,
+    cvs_sufficient_kernel,
     cvs_sufficient_verdict,
     lambda_for_cvs,
+    nsc_curves,
     secondary_hyperbolic,
     secondary_matrices,
     secondary_residual_decomposition,

@@ -22,14 +22,21 @@ import numpy as np
 
 from .core import PhysParams, State
 from .errors import ConfigError, InvalidRatio, SmhdError
-from .ioutil import fmt, write_rows_csv
+from .ioutil import fmt
 from .shock import lax_verdict, rectilinear_shock
-from .symmetrization import CvsStability, cvs_nsc_verdict, cvs_sufficient_verdict
+from .symmetrization import (
+    CODE_EXCEPTIONAL,
+    CODE_INCONCLUSIVE,
+    CODE_STABLE,
+    CODE_UNSTABLE,
+    CvsStability,
+    cvs_nsc_kernel,
+    cvs_nsc_verdict,
+    cvs_sufficient_kernel,
+    cvs_sufficient_verdict,
+    nsc_curves,
+)
 
-CODE_UNSTABLE = 0
-CODE_INCONCLUSIVE = 1
-CODE_STABLE = 2
-CODE_EXCEPTIONAL = 3
 CODE_INVALID = -1
 
 _COLORS = {
@@ -40,7 +47,15 @@ _COLORS = {
     CODE_INVALID: "#404040",
 }
 
-_VERDICTS = ("lax", "cvs-sufficient", "cvs-nsc")
+_NSC_CURVE_NAMES = ("a=b", "a=sqrt(b2+G)-b", "a=sqrt(b2+G)", "a=b*sqrt((b2+2G)/(b2+G))",
+                    "a=2b", "a=2*sqrt(b2+2G)")
+
+# Axis and fixed parameter names accepted per verdict.
+_PARAMETERS = {
+    "lax": ("ratio", "b1_plus", "h_minus", "b2", "g"),
+    "cvs-sufficient": ("v2_jump", "b2_plus", "h", "g", "epsilon"),
+    "cvs-nsc": ("v2_jump", "b2_plus", "h", "g"),
+}
 
 
 @dataclass
@@ -72,8 +87,22 @@ class SweepSpec:
     fixed: dict
 
     def __post_init__(self):
-        if self.verdict not in _VERDICTS:
-            raise ConfigError(f"unknown verdict {self.verdict!r}; expected one of {_VERDICTS}")
+        if self.verdict not in _PARAMETERS:
+            raise ConfigError(f"unknown verdict {self.verdict!r}; "
+                              f"expected one of {tuple(_PARAMETERS)}")
+        if self.x_axis.name == self.y_axis.name:
+            raise ConfigError(f"x and y axes are both {self.x_axis.name!r}")
+        if not isinstance(self.fixed, dict):
+            raise ConfigError("sweep 'fixed' must be an object")
+        names = _PARAMETERS[self.verdict]
+        for name in (self.x_axis.name, self.y_axis.name, *self.fixed):
+            if name not in names:
+                raise ConfigError(f"unknown {self.verdict} sweep parameter {name!r}; "
+                                  f"expected one of {names}")
+        try:
+            self.fixed = {name: float(value) for name, value in self.fixed.items()}
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"non-numeric fixed sweep parameter: {exc}") from exc
 
     @staticmethod
     def from_dict(doc: dict) -> "SweepSpec":
@@ -133,24 +162,56 @@ def evaluate_point(spec: SweepSpec, xv: float, yv: float) -> tuple[int, float]:
 
 
 def run_sweep(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the grid; returns (codes, margins) shaped (nx, ny)."""
+    """Evaluate the grid; returns (codes, margins) shaped (nx, ny).
+
+    ``lax`` calls ``evaluate_point`` per point.  The cvs verdicts run
+    their array kernels on the whole grid, with code -1 wherever
+    ``evaluate_point`` would hit a degenerate state: h <= 0, g <= 0
+    (nsc), a non-finite parameter, B2 = 0 on both sides (sufficient) or
+    b^2 + g h = 0 (nsc).
+    """
     xs = spec.x_axis.values
     ys = spec.y_axis.values
     codes = np.empty((xs.size, ys.size), dtype=int)
     margins = np.empty((xs.size, ys.size))
-    for i, xv in enumerate(xs):
-        for j, yv in enumerate(ys):
-            codes[i, j], margins[i, j] = evaluate_point(spec, xv, yv)
+    if spec.verdict == "lax":
+        for i, xv in enumerate(xs):
+            for j, yv in enumerate(ys):
+                codes[i, j], margins[i, j] = evaluate_point(spec, xv, yv)
+        return codes, margins
+    p = dict(spec.fixed)
+    p[spec.x_axis.name] = xs[:, None]
+    p[spec.y_axis.name] = ys[None, :]
+    try:
+        v2_jump, b2_plus = p["v2_jump"], p["b2_plus"]
+    except KeyError as exc:
+        raise ConfigError(f"sweep is missing parameter {exc}") from exc
+    h = p.get("h", 1.0)
+    with np.errstate(all="ignore"):
+        invalid = ~((h > 0.0) & np.isfinite(h) & np.isfinite(v2_jump) & np.isfinite(b2_plus))
+        # |[v2]| of the sides symmetric_pair builds.
+        jump = abs(0.5 * v2_jump - (-0.5 * v2_jump))
+        if spec.verdict == "cvs-sufficient":
+            invalid = invalid | (b2_plus == 0.0)
+            code, margin = cvs_sufficient_kernel(jump, b2_plus, -b2_plus, p.get("epsilon", 1e-6))
+        else:
+            g = p.get("g", 1.0)
+            b = abs(b2_plus)
+            invalid = invalid | ~((g > 0.0) & np.isfinite(g)) | (b * b + g * h == 0.0)
+            code, _, margin = cvs_nsc_kernel(jump, b, g * h)
+    codes[...] = np.where(invalid, CODE_INVALID, code)
+    margins[...] = np.where(invalid, 0.0, margin)
     return codes, margins
 
 
 def sweep_csv(spec: SweepSpec, codes: np.ndarray, margins: np.ndarray, path: str | Path) -> None:
-    header = f"{spec.x_axis.name},{spec.y_axis.name},code,margin"
-    xs = spec.x_axis.values
-    ys = spec.y_axis.values
-    rows = ((xs[i], ys[j], int(codes[i, j]), margins[i, j])
-            for i in range(xs.size) for j in range(ys.size))
-    write_rows_csv(header, rows, path)
+    """One row per grid point, x-major, in the 17-digit format of ``ioutil.fmt``."""
+    lines = [f"{spec.x_axis.name},{spec.y_axis.name},code,margin"]
+    ys = spec.y_axis.values.tolist()
+    for xv, code_row, margin_row in zip(spec.x_axis.values.tolist(), codes, margins):
+        lines.extend("%.17g,%.17g,%d,%.17g" % (xv, yv, code, margin)
+                     for yv, code, margin in zip(ys, code_row.tolist(), margin_row.tolist()))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def _nsc_exception_curves(spec: SweepSpec) -> list[tuple[str, np.ndarray, np.ndarray]]:
@@ -168,16 +229,8 @@ def _nsc_exception_curves(spec: SweepSpec) -> list[tuple[str, np.ndarray, np.nda
         swap = True
     else:
         return []
-    curves = [
-        ("a=b", b),
-        ("a=sqrt(b2+G)-b", np.sqrt(b * b + big_g) - b),
-        ("a=sqrt(b2+G)", np.sqrt(b * b + big_g)),
-        ("a=b*sqrt((b2+2G)/(b2+G))", b * np.sqrt((b * b + 2 * big_g) / (b * b + big_g))),
-        ("a=2b", 2 * b),
-        ("a=2*sqrt(b2+2G)", 2 * np.sqrt(b * b + 2 * big_g)),
-    ]
     out = []
-    for name, a in curves:
+    for name, a in zip(_NSC_CURVE_NAMES, nsc_curves(b, big_g)):
         for sign in (1.0, -1.0):
             if swap:
                 out.append((name, ordinate, sign * a))
@@ -210,15 +263,11 @@ def sweep_svg(spec: SweepSpec, codes: np.ndarray, path: str | Path,
     ]
     for code in sorted(set(codes.ravel().tolist())):
         color = _COLORS.get(int(code), "#000000")
-        cells = []
-        for i in range(nx):
-            for j in range(ny):
-                if codes[i, j] == code:
-                    cx = margin_px + i * cell_px
-                    cy = height - margin_px - (j + 1) * cell_px
-                    cells.append(f'M{cx} {cy}h{cell_px}v{cell_px}h-{cell_px}z')
-        if cells:
-            parts.append(f'<path d="{"".join(cells)}" fill="{color}"/>')
+        ii, jj = np.nonzero(codes == code)
+        cells = "".join(f'M{margin_px + i * cell_px} {height - margin_px - (j + 1) * cell_px}'
+                        f'h{cell_px}v{cell_px}h-{cell_px}z'
+                        for i, j in zip(ii.tolist(), jj.tolist()))
+        parts.append(f'<path d="{cells}" fill="{color}"/>')
     if spec.verdict == "cvs-nsc":
         for name, ax_vals, ay_vals in _nsc_exception_curves(spec):
             pts = []

@@ -20,7 +20,6 @@ exceptional points are available in closed form.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,6 +232,78 @@ class CvsVerdict:
     note: str | None = None
 
 
+# Verdict codes of the array kernels, shared with the sweep CSV.
+CODE_UNSTABLE = 0
+CODE_INCONCLUSIVE = 1
+CODE_STABLE = 2
+CODE_EXCEPTIONAL = 3
+
+
+def _where(cond, x, y):
+    """``np.where`` that stays scalar for a scalar condition (cheap pointwise verdicts)."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, x, y)
+    return x if cond else y
+
+
+def cvs_sufficient_kernel(jump, b2_plus, b2_minus, epsilon):
+    """Sufficient condition on broadcastable arrays; returns (code, margin).
+
+    ``jump`` is |[v2]|.  The code is CODE_STABLE where
+    |B2+| + |B2-| - |[v2]| >= epsilon and max(|B2+|, |B2-|) >= epsilon,
+    else CODE_INCONCLUSIVE; the margin is | |B2+| + |B2-| - |[v2]| |.
+    """
+    abs_p = abs(b2_plus)
+    abs_m = abs(b2_minus)
+    slack = abs_p + abs_m - jump
+    stable = (slack >= epsilon) & ((abs_p >= epsilon) | (abs_m >= epsilon))
+    return _where(stable, CODE_STABLE, CODE_INCONCLUSIVE), abs(slack)
+
+
+def nsc_curves(b, big_g):
+    """The six curves a(b) of ``CvsVerdict`` in index order, for G = g h.
+
+    Four exceptional equalities, then the stability boundaries a = 2b
+    and a = 2 sqrt(b^2 + 2G).  ``b`` and ``big_g`` broadcast.
+    """
+    bb = b * b
+    outer_sq = bb + 2.0 * big_g
+    inner = np.sqrt(bb + big_g)
+    return (b, inner - b, inner, b * np.sqrt(outer_sq / (bb + big_g)), 2.0 * b,
+            2.0 * np.sqrt(outer_sq))
+
+
+def cvs_nsc_kernel(a, b, big_g, tol=DEFAULT_TOL):
+    """Symmetric-sheet NSC on broadcastable arrays; returns (code, index, margin).
+
+    ``a`` = |[v2]|, ``b`` = |B2+|, ``big_g`` = g h.  ``index`` is the
+    first of the six curves of ``CvsVerdict`` (in index order) within
+    tol * max(1, a, 2 sqrt(b^2 + 2G)) of a, or 0.  The code is
+    CODE_EXCEPTIONAL there, else CODE_STABLE for a < 2b or
+    a > 2 sqrt(b^2 + 2G), else CODE_UNSTABLE.  The margin is the
+    distance to the matched curve, to the nearest of the six curves
+    (stable), or to the nearer stability boundary (unstable).
+    """
+    curves = nsc_curves(b, big_g)
+    outer = curves[5]
+    scale = _where(a > 1.0, a, 1.0)
+    band = tol * _where(outer > scale, outer, scale)
+    index, matched, nearest = 0, 0.0, np.inf
+    # From curve 6 down to 1, so the hit written last is the first in index order;
+    # the running minima use a strict <, as min() does.
+    for k in range(6, 0, -1):
+        dist = abs(a - curves[k - 1])
+        hit = dist <= band
+        index = _where(hit, k, index)
+        matched = _where(hit, dist, matched)
+        nearest = _where(dist < nearest, dist, nearest)
+        if k == 5:
+            boundary = nearest
+    stable = (a > outer) | (a < 2.0 * b)
+    code = _where(index > 0, CODE_EXCEPTIONAL, _where(stable, CODE_STABLE, CODE_UNSTABLE))
+    return code, index, _where(index > 0, matched, _where(stable, nearest, boundary))
+
+
 def cvs_sufficient_verdict(
     hat_plus: State,
     hat_minus: State,
@@ -257,13 +328,12 @@ def cvs_sufficient_verdict(
     if b2p == 0.0 and b2m == 0.0:
         raise ZeroTangentialField("both tangential field components vanish")
     jump = abs(float(hat_plus.v[1] - hat_minus.v[1]))
-    total = abs(b2p) + abs(b2m)
-    margin = abs(total - jump)
-    if total - jump >= epsilon and max(abs(b2p), abs(b2m)) >= epsilon:
-        return CvsVerdict(tag=CvsStability.SUFFICIENTLY_STABLE, margin=margin)
+    code, margin = cvs_sufficient_kernel(jump, b2p, b2m, epsilon)
+    if code == CODE_STABLE:
+        return CvsVerdict(tag=CvsStability.SUFFICIENTLY_STABLE, margin=float(margin))
     return CvsVerdict(
         tag=CvsStability.INCONCLUSIVE,
-        margin=margin,
+        margin=float(margin),
         note="sufficient condition failed; no instability implied",
     )
 
@@ -294,27 +364,12 @@ def cvs_nsc_verdict(
         raise NotSymmetricCase(f"need B2+ = -B2-, got {b2p} and {b2m}")
 
     a = abs(float(hat_plus.v[1] - hat_minus.v[1]))
-    b = abs(b2p)
-    big_g = params.g * hat_plus.h
-    outer = 2.0 * math.sqrt(b * b + 2.0 * big_g)
-    exceptional = [
-        (1, b),
-        (2, math.sqrt(b * b + big_g) - b),
-        (3, math.sqrt(b * b + big_g)),
-        (4, b * math.sqrt((b * b + 2.0 * big_g) / (b * b + big_g))),
-        (5, 2.0 * b),
-        (6, outer),
-    ]
-    scale = max(1.0, a, outer)
-    band = tol * scale
-    for idx, value in exceptional:
-        if abs(a - value) <= band:
-            return CvsVerdict(tag=CvsStability.EXCEPTIONAL_POINT, margin=abs(a - value), index=idx)
-
-    distances = [abs(a - value) for _, value in exceptional]
-    if a < 2.0 * b or a > outer:
-        return CvsVerdict(tag=CvsStability.NSC_STABLE, margin=min(distances))
-    return CvsVerdict(tag=CvsStability.NSC_UNSTABLE, margin=min(abs(a - 2.0 * b), abs(outer - a)))
+    code, index, margin = cvs_nsc_kernel(a, abs(b2p), params.g * hat_plus.h, tol)
+    if code == CODE_EXCEPTIONAL:
+        return CvsVerdict(tag=CvsStability.EXCEPTIONAL_POINT, margin=float(margin),
+                          index=int(index))
+    tag = CvsStability.NSC_STABLE if code == CODE_STABLE else CvsStability.NSC_UNSTABLE
+    return CvsVerdict(tag=tag, margin=float(margin))
 
 
 def boundary_energy_term(

@@ -175,6 +175,22 @@ def test_sweep_invalid_axes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_unknown_or_repeated_parameter_exit_1(tmp_path, capsys):
+    misspelled = {"verdict": "cvs-nsc",
+                  "x_axis": {"name": "v2_jump", "min": 0.0, "max": 6.0, "count": 4},
+                  "y_axis": {"name": "b2plus", "min": -2.0, "max": 2.0, "count": 4},
+                  "fixed": {"b2_plus": 1.0, "h": 1.0, "g": 1.0}}
+    repeated = {"verdict": "lax",
+                "x_axis": {"name": "ratio", "min": 0.5, "max": 2.0, "count": 3},
+                "y_axis": {"name": "ratio", "min": 0.5, "max": 2.0, "count": 3},
+                "fixed": {"b1_plus": 0.5}}
+    for doc in (misspelled, repeated):
+        assert main(["sweep", "--spec", _write(tmp_path, "s.json", doc),
+                     "--out", str(tmp_path)]) == 1
+        assert "sweep:" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_simulate_small_riemann(tmp_path, capsys):
     cfg = {"kind": "fv", "dimensions": 1, "cells": [120], "extents": [[-4.0, 4.0]],
            "end_time": 1.0, "cfl": 0.45, "g": 1.0, "output_interval": 0.25,

@@ -1,0 +1,223 @@
+import math
+
+import numpy as np
+import pytest
+
+from smhd.core import PhysParams
+from smhd.errors import ConfigError
+from smhd.ioutil import write_rows_csv
+from smhd.sweep import (
+    CODE_INVALID,
+    SweepSpec,
+    evaluate_point,
+    run_sweep,
+    sweep_csv,
+    sweep_svg,
+    symmetric_pair,
+)
+from smhd.symmetrization import (
+    CvsStability,
+    cvs_nsc_kernel,
+    cvs_nsc_verdict,
+    cvs_sufficient_kernel,
+)
+
+
+def _spec(verdict, x, y, fixed=None):
+    return SweepSpec.from_dict({
+        "verdict": verdict,
+        "x_axis": {"name": x[0], "min": x[1], "max": x[2], "count": x[3]},
+        "y_axis": {"name": y[0], "min": y[1], "max": y[2], "count": y[3]},
+        "fixed": fixed or {},
+    })
+
+
+def _pointwise(spec):
+    xs, ys = spec.x_axis.values, spec.y_axis.values
+    codes = np.empty((xs.size, ys.size), dtype=int)
+    margins = np.empty((xs.size, ys.size))
+    for i, xv in enumerate(xs):
+        for j, yv in enumerate(ys):
+            codes[i, j], margins[i, j] = evaluate_point(spec, xv, yv)
+    return codes, margins
+
+
+# The v2_jump and |b2_plus| axes share their samples, so the grids hold
+# points exactly on a = b and a = 2b, besides h or g crossing 0.
+GRIDS = [
+    ("cvs-nsc", ("v2_jump", 0.0, 4.0, 41), ("b2_plus", -4.0, 4.0, 81), {"h": 0.5, "g": 2.0}),
+    ("cvs-nsc", ("v2_jump", 0.0, 8.0, 81), ("b2_plus", 0.0, 4.0, 41), {}),
+    ("cvs-nsc", ("h", -1.0, 2.0, 31), ("v2_jump", -6.0, 6.0, 61), {"b2_plus": 1.0}),
+    ("cvs-nsc", ("b2_plus", -2.0, 2.0, 41), ("g", -0.5, 1.5, 21), {"v2_jump": 2.0}),
+    ("cvs-sufficient", ("v2_jump", -4.0, 4.0, 81), ("b2_plus", -2.0, 2.0, 41),
+     {"h": 1.5, "epsilon": 1e-6}),
+    ("cvs-sufficient", ("epsilon", -1.0, 3.0, 33), ("b2_plus", -2.0, 2.0, 41),
+     {"v2_jump": 1.5}),
+    ("cvs-sufficient", ("h", -1.0, 1.0, 21), ("v2_jump", 0.0, 3.0, 31), {"b2_plus": 0.7}),
+    # Axes the kernel ignores (g) or reads alone (epsilon).
+    ("cvs-sufficient", ("g", -1.0, 1.0, 3), ("h", -1.0, 1.0, 5),
+     {"v2_jump": 1.0, "b2_plus": 0.5}),
+    ("cvs-sufficient", ("g", 0.5, 1.5, 3), ("epsilon", 0.0, 2.0, 5),
+     {"v2_jump": 1.0, "b2_plus": 0.5}),
+    # Subnormal jumps, where 0.5 v - (-0.5 v) differs from v, and an underflowing g h.
+    ("cvs-sufficient", ("v2_jump", 0.0, 5e-323, 11), ("b2_plus", -5e-323, 5e-323, 11),
+     {"epsilon": 0.0}),
+    ("cvs-nsc", ("v2_jump", 0.0, 5e-323, 11), ("b2_plus", -5e-323, 5e-323, 11),
+     {"g": 1e-200, "h": 1e-200}),
+]
+
+
+@pytest.mark.parametrize("verdict,x,y,fixed", GRIDS)
+def test_run_sweep_matches_pointwise_verdicts(verdict, x, y, fixed):
+    spec = _spec(verdict, x, y, fixed)
+    codes, margins = run_sweep(spec)
+    ref_codes, ref_margins = _pointwise(spec)
+    assert codes.dtype == ref_codes.dtype and margins.dtype == ref_margins.dtype
+    assert np.array_equal(codes, ref_codes)
+    assert np.array_equal(margins.view(np.int64), ref_margins.view(np.int64))
+
+
+def test_grids_hit_the_curves_exactly():
+    codes, _ = run_sweep(_spec(*GRIDS[1]))
+    a = np.linspace(0.0, 8.0, 81)
+    b = np.linspace(0.0, 4.0, 41)
+    on_a_eq_b = a[:, None] == b[None, :]
+    on_a_eq_2b = a[:, None] == 2.0 * b[None, :]
+    assert on_a_eq_b.sum() == 41 and on_a_eq_2b.sum() == 41
+    assert np.all(codes[on_a_eq_b] == 3) and np.all(codes[on_a_eq_2b] == 3)
+
+
+def test_invalid_rows():
+    codes, margins = run_sweep(_spec(*GRIDS[4]))
+    zero = np.linspace(-2.0, 2.0, 41) == 0.0
+    assert np.all(codes[:, zero] == CODE_INVALID) and np.all(margins[:, zero] == 0.0)
+    assert np.all(codes[:, ~zero] != CODE_INVALID)
+
+    codes, _ = run_sweep(_spec(*GRIDS[2]))
+    h = np.linspace(-1.0, 2.0, 31)
+    assert np.all(codes[h <= 0.0] == CODE_INVALID)
+    assert np.all(codes[h > 0.0] != CODE_INVALID)
+
+    codes, _ = run_sweep(_spec(*GRIDS[3]))
+    g = np.linspace(-0.5, 1.5, 21)
+    assert np.all(codes[:, g <= 0.0] == CODE_INVALID)
+    assert np.all(codes[:, g > 0.0] != CODE_INVALID)
+
+
+@pytest.mark.parametrize("verdict,x,y,fixed", [
+    ("cvs-nsc", ("v2_jump", 0.0, 1.0, 3), ("h", 0.5, 1.0, 3), {}),
+    ("cvs-sufficient", ("b2_plus", 0.0, 1.0, 3), ("epsilon", 0.0, 1.0, 3), {}),
+    ("lax", ("b1_plus", 0.1, 1.0, 3), ("h_minus", 0.5, 1.0, 3), {}),
+])
+def test_missing_parameter(verdict, x, y, fixed):
+    with pytest.raises(ConfigError, match="missing parameter"):
+        run_sweep(_spec(verdict, x, y, fixed))
+
+
+@pytest.mark.parametrize("verdict,x,y,fixed", [
+    ("cvs-nsc", ("v2_jump", 0.0, 1.0, 3), ("b2plus", 0.5, 1.0, 3), {"b2_plus": 1.0}),
+    ("cvs-nsc", ("v2_jump", 0.0, 1.0, 3), ("b2_plus", 0.5, 1.0, 3), {"epsilon": 0.1}),
+    ("lax", ("ratio", 0.5, 2.0, 3), ("b1_plus", 0.1, 1.0, 3), {"h": 1.0}),
+    ("cvs-sufficient", ("v2_jump", 0.0, 1.0, 3), ("v2_jump", 0.0, 1.0, 3), {"b2_plus": 1.0}),
+    ("cvs-sufficient", ("v2_jump", 0.0, 1.0, 3), ("b2_plus", 0.0, 1.0, 3), {"h": "high"}),
+])
+def test_spec_rejects_bad_parameters(verdict, x, y, fixed):
+    with pytest.raises(ConfigError):
+        _spec(verdict, x, y, fixed)
+
+
+def _nsc_reference(a, b, big_g, tol=1e-9):
+    """Pointwise closed form: first curve within the band, then min() distances."""
+    outer = 2.0 * math.sqrt(b * b + 2.0 * big_g)
+    curves = [b, math.sqrt(b * b + big_g) - b, math.sqrt(b * b + big_g),
+              b * math.sqrt((b * b + 2.0 * big_g) / (b * b + big_g)), 2.0 * b, outer]
+    band = tol * max(1.0, a, outer)
+    for k, value in enumerate(curves, 1):
+        if abs(a - value) <= band:
+            return 3, k, abs(a - value)
+    if a < 2.0 * b or a > outer:
+        return 2, 0, min(abs(a - value) for value in curves)
+    return 0, 0, min(abs(a - 2.0 * b), abs(outer - a))
+
+
+def _sufficient_reference(jump, b2p, b2m, epsilon):
+    total = abs(b2p) + abs(b2m)
+    stable = total - jump >= epsilon and max(abs(b2p), abs(b2m)) >= epsilon
+    return (2 if stable else 1), abs(total - jump)
+
+
+@pytest.mark.parametrize("a_max,b_max,big_g,tol", [
+    (8.0, 4.0, 1.0, 1e-9),      # a = b and a = 2b on the grid
+    (3.0, 1.5, 0.7, 0.0),       # zero band: only exact hits are exceptional
+    (2.0, 0.0, 1.0, 1e-9),      # b = 0: curves 1, 4, 5 meet at a = 0, curves 2, 3 at a = 1
+    (1e300, 1e200, 1e300, 1e-9),  # b^2 overflows: curve 4 is NaN
+])
+def test_nsc_kernel_matches_closed_form(a_max, b_max, big_g, tol):
+    a = np.linspace(0.0, a_max, 81)[:, None]
+    b = np.linspace(0.0, b_max, 41)[None, :] if b_max else np.zeros((1, 1))
+    with np.errstate(all="ignore"):
+        codes, index, margins = cvs_nsc_kernel(a, b, big_g, tol)
+    for i in range(a.shape[0]):
+        for j in range(b.shape[1]):
+            ref = _nsc_reference(float(a[i, 0]), float(b[0, j]), big_g, tol)
+            assert (int(codes[i, j]), int(index[i, j]), float(margins[i, j])) == ref
+
+
+def test_nsc_kernel_first_curve_wins():
+    assert cvs_nsc_kernel(0.0, 0.0, 1.0)[:2] == (3, 1)
+    assert cvs_nsc_kernel(1.0, 0.0, 1.0)[:2] == (3, 2)
+    assert cvs_nsc_kernel(1.0, 1.0, 1.0, 0.0)[:2] == (3, 1)
+
+
+def test_sufficient_kernel_matches_closed_form():
+    jump = np.linspace(0.0, 4.0, 41)[:, None, None]
+    b2p = np.linspace(-2.0, 2.0, 21)[None, :, None]
+    b2m = np.linspace(-2.0, 2.0, 21)[None, None, :]
+    for epsilon in (0.0, 1e-6, 0.5):
+        codes, margins = cvs_sufficient_kernel(jump, b2p, b2m, epsilon)
+        for idx in np.ndindex(codes.shape):
+            i, j, k = idx
+            ref = _sufficient_reference(float(jump[i, 0, 0]), float(b2p[0, j, 0]),
+                                        float(b2m[0, 0, k]), epsilon)
+            assert (int(codes[idx]), float(margins[idx])) == ref
+
+
+def test_kernel_index_matches_verdict_index():
+    b, h, g = 0.8, 1.25, 0.9
+    big_g = g * h
+    curves = [b, math.sqrt(b * b + big_g) - b, math.sqrt(b * b + big_g),
+              b * math.sqrt((b * b + 2 * big_g) / (b * b + big_g)), 2 * b,
+              2 * math.sqrt(b * b + 2 * big_g)]
+    a = np.array(curves)
+    codes, index, margins = cvs_nsc_kernel(a, np.full(6, b), np.full(6, big_g))
+    for k, value in enumerate(curves, 1):
+        verdict = cvs_nsc_verdict(*symmetric_pair(value, b, h), PhysParams(g))
+        assert verdict.tag is CvsStability.EXCEPTIONAL_POINT
+        assert verdict.index == k == index[k - 1]
+        assert codes[k - 1] == 3 and margins[k - 1] == verdict.margin
+        scalar_code, scalar_index, _ = cvs_nsc_kernel(value, b, big_g)
+        assert (scalar_code, scalar_index) == (3, k)
+
+
+def test_sweep_csv_matches_generic_writer(tmp_path):
+    spec = _spec(*GRIDS[2])
+    codes, margins = run_sweep(spec)
+    xs, ys = spec.x_axis.values, spec.y_axis.values
+    rows = ((xs[i], ys[j], int(codes[i, j]), margins[i, j])
+            for i in range(xs.size) for j in range(ys.size))
+    write_rows_csv("h,v2_jump,code,margin", rows, tmp_path / "ref.csv")
+    sweep_csv(spec, codes, margins, tmp_path / "sweep.csv")
+    assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_sweep_svg_cells_in_row_major_order(tmp_path):
+    spec = _spec(*GRIDS[3])
+    codes, _ = run_sweep(spec)
+    sweep_svg(spec, codes, tmp_path / "sweep.svg", cell_px=4, margin_px=46)
+    text = (tmp_path / "sweep.svg").read_text()
+    height = codes.shape[1] * 4 + 2 * 46
+    for code in np.unique(codes):
+        cells = "".join(f"M{46 + i * 4} {height - 46 - (j + 1) * 4}h4v4h-4z"
+                        for i in range(codes.shape[0]) for j in range(codes.shape[1])
+                        if codes[i, j] == code)
+        assert f'<path d="{cells}"' in text
