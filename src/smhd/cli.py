@@ -3,7 +3,9 @@
 Subcommands: classify, shock, stability, sweep, simulate.  All file
 outputs are deterministic; exit codes are 0 (success), 1 (malformed
 input or configuration), 2 (inadmissible data / Lax-violated shock),
-3 (positivity loss), 4 (CFL violation), 5 (non-finite state).
+3 (positivity loss), 4 (CFL violation), 5 (non-finite state).  An
+``SmhdError`` escaping a subcommand becomes one ``<command>: <message>``
+line on stderr and the code ``EXIT_CODES`` gives its type.
 """
 
 from __future__ import annotations
@@ -16,15 +18,7 @@ import numpy as np
 
 from . import __version__
 from .core import PhysParams
-from .errors import (
-    CflViolation,
-    ConfigError,
-    InvalidRatio,
-    NonFiniteState,
-    NotAShock,
-    PositivityLoss,
-    SmhdError,
-)
+from .errors import CflViolation, ConfigError, NonFiniteState, PositivityLoss, SmhdError
 from .fv import SimConfig, simulate_1d, simulate_2d
 from .ioutil import (
     dump_json,
@@ -41,6 +35,10 @@ from .shock import lax_verdict, linearized_setup, rectilinear_shock
 from .sweep import SweepSpec, run_sweep, sweep_csv, sweep_svg, symmetric_pair
 from .symmetrization import cvs_nsc_verdict, cvs_sufficient_verdict, lambda_for_cvs
 
+# Exit code of an SmhdError escaping a subcommand, by its exact type; any
+# other SmhdError exits 1.  Codes 0 and 2 come from the subcommands' results.
+EXIT_CODES = {PositivityLoss: 3, CflViolation: 4, NonFiniteState: 5}
+
 
 def _out_dir(args) -> Path:
     out = Path(args.out) if getattr(args, "out", None) else Path.cwd()
@@ -50,17 +48,11 @@ def _out_dir(args) -> Path:
 
 def cmd_classify(args) -> int:
     if not args.input:
-        print("classify: --input must name a side-pair JSON file", file=sys.stderr)
-        return 1
-    try:
-        sp = side_pair_from_doc(load_json(args.input))
-        kind = classify(sp, tol=args.tol)
-        tq = trace_quantities(sp)
-        res = rh_residual(sp)
-    except SmhdError as exc:
-        print(f"classify: {exc}", file=sys.stderr)
-        return 1
-
+        raise ConfigError("--input must name a side-pair JSON file")
+    sp = side_pair_from_doc(load_json(args.input))
+    kind = classify(sp, tol=args.tol)
+    tq = trace_quantities(sp)
+    res = rh_residual(sp)
     doc = {
         "kind": kind.kind.value,
         "reason": kind.reason,
@@ -115,17 +107,9 @@ def cmd_classify(args) -> int:
 
 def cmd_shock(args) -> int:
     params = PhysParams(g=args.g)
-    try:
-        shock = rectilinear_shock(args.h_minus, args.ratio, args.b1_plus, args.b2, params)
-    except (InvalidRatio, ValueError, SmhdError) as exc:
-        print(f"shock: {exc}", file=sys.stderr)
-        return 1
+    shock = rectilinear_shock(args.h_minus, args.ratio, args.b1_plus, args.b2, params)
     pair = shock.side_pair()
-    try:
-        diag = lax_verdict(pair)
-    except NotAShock as exc:
-        print(f"shock: {exc}", file=sys.stderr)
-        return 1
+    diag = lax_verdict(pair)
     doc = {
         "shock": {
             "h_minus": shock.h_minus, "h_plus": shock.h_plus,
@@ -166,15 +150,10 @@ def cmd_shock(args) -> int:
 def cmd_stability(args) -> int:
     if args.mode == "cvs":
         if not args.input:
-            print("stability cvs: --input must name a side-pair JSON file", file=sys.stderr)
-            return 1
-        try:
-            sp = side_pair_from_doc(load_json(args.input))
-            choice = lambda_for_cvs(sp.plus, sp.minus)
-            verdict = cvs_sufficient_verdict(sp.plus, sp.minus, args.epsilon)
-        except SmhdError as exc:
-            print(f"stability: {exc}", file=sys.stderr)
-            return 1
+            raise ConfigError("cvs mode: --input must name a side-pair JSON file")
+        sp = side_pair_from_doc(load_json(args.input))
+        choice = lambda_for_cvs(sp.plus, sp.minus)
+        verdict = cvs_sufficient_verdict(sp.plus, sp.minus, args.epsilon)
         doc = {
             "lambda_plus": choice.lambda_plus, "lambda_minus": choice.lambda_minus,
             "hyperbolic_plus": choice.hyperbolic_plus,
@@ -182,12 +161,8 @@ def cmd_stability(args) -> int:
             "verdict": verdict.tag.value, "margin": verdict.margin,
         }
     else:
-        try:
-            plus, minus = symmetric_pair(args.v2_jump, args.b2_plus, args.h)
-            verdict = cvs_nsc_verdict(plus, minus, PhysParams(g=args.g), tol=args.tol)
-        except SmhdError as exc:
-            print(f"stability: {exc}", file=sys.stderr)
-            return 1
+        plus, minus = symmetric_pair(args.v2_jump, args.b2_plus, args.h)
+        verdict = cvs_nsc_verdict(plus, minus, PhysParams(g=args.g), tol=args.tol)
         doc = {"verdict": verdict.tag.value, "margin": verdict.margin,
                "exceptional_index": verdict.index}
     text = dump_json(doc, _out_dir(args) / "stability.json" if args.out else None)
@@ -196,12 +171,8 @@ def cmd_stability(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        spec = SweepSpec.from_dict(load_json(args.spec))
-        codes, margins = run_sweep(spec)
-    except (ConfigError, SmhdError) as exc:
-        print(f"sweep: {exc}", file=sys.stderr)
-        return 1
+    spec = SweepSpec.from_dict(load_json(args.spec))
+    codes, margins = run_sweep(spec)
     out = _out_dir(args)
     written = []
     if args.format in ("csv", "both"):
@@ -219,68 +190,40 @@ def cmd_sweep(args) -> int:
 
 def cmd_simulate(args) -> int:
     if not args.config:
-        print("simulate: --config must name a JSON configuration file", file=sys.stderr)
-        print("usage: smhd simulate --config CONFIG.json [--out DIR]", file=sys.stderr)
-        return 1
-    try:
-        doc = load_json(args.config)
-        kind = doc.get("kind", "fv")
-        out = _out_dir(args)
-        if kind == "linear":
-            shock_doc = doc["shock"]
-            params = PhysParams(g=shock_doc.get("g", 1.0))
-            shock = rectilinear_shock(shock_doc["h_minus"], shock_doc["ratio"],
-                                      shock_doc["b1_plus"], shock_doc.get("b2", 0.0), params)
-            setup = linearized_setup(shock, params)
-            lcfg = LinearConfig(
-                cells=tuple(doc["cells"]), extents=tuple(map(tuple, doc["extents"])),
-                end_time=doc["end_time"], pulse=doc.get("pulse", {}),
-                cfl=doc.get("cfl", 0.45), output_interval=doc.get("output_interval"),
-                wave_check_time=doc.get("wave_check_time"),
-            )
-            res = linear_halfplane_simulate(setup, lcfg)
-            rows = zip(res.times, res.l2_u, res.h1_u, res.trace_norm, res.front_norm, res.energy)
-            write_rows_csv("t,l2U,h1U,traceNorm,frontNorm,energy", rows, out / "timeseries.csv")
-            print(f"linear run: {res.steps} steps, dt={res.dt:.6g}")
-            print(f"norm ratio max_t ||U||/||U(0)|| = {res.norm_ratio_max:.4f}")
-            print(f"wrote {out / 'timeseries.csv'}")
-            return 0
-        if kind != "fv":
-            raise ConfigError(f"unknown config kind {kind!r}")
-        cfg = SimConfig.from_dict(doc)
-        res = simulate_1d(cfg) if cfg.dimensions == 1 else simulate_2d(cfg)
-        write_timeseries_csv(res, out / "timeseries.csv")
-        write_snapshot_csv(res, out / "snapshot.csv")
-        print(f"run: {res.steps} steps on {cfg.cells} cells")
-        fp = res.front_position
-        if np.any(np.isfinite(fp)):
-            drift = float(np.nanmax(np.abs(fp - fp[0])))
-            print(f"front drift: {drift:.6g} (dx = {res.grid['dx']:.6g})")
-        print(f"max divergence residual: {float(np.max(res.div_norm)):.6g}")
-        print(f"max conservation defect: {res.max_conservation_defect:.3e}")
-        amps = res.front_amplitude
-        if np.any(np.isfinite(amps)) and np.nanmax(amps) > 0:
-            a0 = amps[np.isfinite(amps)][0]
-            aT = amps[np.isfinite(amps)][-1]
-            if a0 > 0:
-                print(f"front amplitude ratio a(T)/a(0) = {aT / a0:.4f}")
-        print(f"wrote {out / 'timeseries.csv'}, {out / 'snapshot.csv'}")
+        raise ConfigError("--config must name a JSON configuration file")
+    doc = load_json(args.config)
+    kind = doc.get("kind", "fv")
+    out = _out_dir(args)
+    if kind == "linear":
+        setup, lcfg = LinearConfig.from_dict(doc)
+        res = linear_halfplane_simulate(setup, lcfg)
+        rows = zip(res.times, res.l2_u, res.h1_u, res.trace_norm, res.front_norm, res.energy)
+        write_rows_csv("t,l2U,h1U,traceNorm,frontNorm,energy", rows, out / "timeseries.csv")
+        print(f"linear run: {res.steps} steps, dt={res.dt:.6g}")
+        print(f"norm ratio max_t ||U||/||U(0)|| = {res.norm_ratio_max:.4f}")
+        print(f"wrote {out / 'timeseries.csv'}")
         return 0
-    except ConfigError as exc:
-        print(f"simulate: {exc}", file=sys.stderr)
-        return 1
-    except PositivityLoss as exc:
-        print(f"simulate: {exc}", file=sys.stderr)
-        return 3
-    except CflViolation as exc:
-        print(f"simulate: {exc}", file=sys.stderr)
-        return 4
-    except NonFiniteState as exc:
-        print(f"simulate: {exc}", file=sys.stderr)
-        return 5
-    except (KeyError, TypeError) as exc:
-        print(f"simulate: malformed configuration: {exc}", file=sys.stderr)
-        return 1
+    if kind != "fv":
+        raise ConfigError(f"unknown config kind {kind!r}")
+    cfg = SimConfig.from_dict(doc)
+    res = simulate_1d(cfg) if cfg.dimensions == 1 else simulate_2d(cfg)
+    write_timeseries_csv(res, out / "timeseries.csv")
+    write_snapshot_csv(res, out / "snapshot.csv")
+    print(f"run: {res.steps} steps on {cfg.cells} cells")
+    fp = res.front_position
+    if np.any(np.isfinite(fp)):
+        drift = float(np.nanmax(np.abs(fp - fp[0])))
+        print(f"front drift: {drift:.6g} (dx = {res.grid['dx']:.6g})")
+    print(f"max divergence residual: {float(np.max(res.div_norm)):.6g}")
+    print(f"max conservation defect: {res.max_conservation_defect:.3e}")
+    amps = res.front_amplitude
+    if np.any(np.isfinite(amps)) and np.nanmax(amps) > 0:
+        a0 = amps[np.isfinite(amps)][0]
+        aT = amps[np.isfinite(amps)][-1]
+        if a0 > 0:
+            print(f"front amplitude ratio a(T)/a(0) = {aT / a0:.4f}")
+    print(f"wrote {out / 'timeseries.csv'}, {out / 'snapshot.csv'}")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,7 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SmhdError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_CODES.get(type(exc), 1)
 
 
 if __name__ == "__main__":

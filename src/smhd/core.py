@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveHeight
+from .errors import InvalidParameter, NonPositiveHeight
 
 PRIMITIVE_HEIGHT = "primitive-height"
 PRESSURE = "pressure"
@@ -46,7 +46,7 @@ class PhysParams:
 
     def __post_init__(self):
         if not (self.g > 0.0 and np.isfinite(self.g)):
-            raise ValueError(f"gravitational acceleration must be positive, got {self.g}")
+            raise InvalidParameter(f"gravitational acceleration must be positive, got {self.g}")
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class State:
         if not self.h > 0.0:
             raise NonPositiveHeight(f"h must be positive, got {self.h}")
         if not (np.isfinite(self.h) and np.all(np.isfinite(self.v)) and np.all(np.isfinite(self.B))):
-            raise ValueError("state components must be finite")
+            raise InvalidParameter("state components must be finite")
 
     def as_vector(self) -> np.ndarray:
         """The 5-vector (h, v1, v2, B1, B2)."""
@@ -90,7 +90,7 @@ class FrontGeometry:
         object.__setattr__(self, "slope", float(self.slope))
         object.__setattr__(self, "speed", float(self.speed))
         if not (np.isfinite(self.slope) and np.isfinite(self.speed)):
-            raise ValueError("front slope and speed must be finite")
+            raise InvalidParameter("front slope and speed must be finite")
 
     @property
     def normal(self) -> np.ndarray:

@@ -9,6 +9,10 @@ class SmhdError(Exception):
     """Base class for all package errors."""
 
 
+class InvalidParameter(SmhdError, ValueError):
+    """A parameter or state component is out of range: g <= 0, B1+ <= 0, or non-finite."""
+
+
 class NonPositiveHeight(SmhdError):
     """Fluid height must satisfy h > 0 for hyperbolicity."""
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .core import PhysParams, State, conserved_from_primitive, fluxes, normal_speeds
 from .errors import CflViolation, ConfigError, NonFiniteState, PositivityLoss
-from .ioutil import state_from_doc
+from .ioutil import config_kwargs, state_from_doc
 from .shock import RectilinearShock
 
 Array = np.ndarray
@@ -253,6 +253,9 @@ class SimConfig:
             raise ConfigError("initial data descriptor must be a dict with a 'type'")
         if self.output_interval is None:
             self.output_interval = self.end_time / 50.0
+        self.output_interval, self.dt_fixed, self.positivity_floor = (
+            None if v is None else float(v)
+            for v in (self.output_interval, self.dt_fixed, self.positivity_floor))
 
     @property
     def params(self) -> PhysParams:
@@ -260,23 +263,10 @@ class SimConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "SimConfig":
+        """Config of a ``"kind": "fv"`` document; unknown or missing keys are ConfigErrors."""
+        kwargs = config_kwargs(SimConfig, doc, allowed=("kind",))
         try:
-            return SimConfig(
-                dimensions=doc["dimensions"],
-                cells=doc["cells"],
-                extents=doc["extents"],
-                end_time=doc["end_time"],
-                initial=doc["initial"],
-                cfl=doc.get("cfl", 0.45),
-                g=doc.get("g", 1.0),
-                output_interval=doc.get("output_interval"),
-                boundary_x1=doc.get("boundary_x1", ("outflow", "outflow")),
-                boundary_x2=doc.get("boundary_x2", "periodic"),
-                dt_fixed=doc.get("dt_fixed"),
-                positivity_floor=doc.get("positivity_floor"),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing config key {exc}") from exc
+            return SimConfig(**kwargs)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config value: {exc}") from exc
 
@@ -316,6 +306,16 @@ class _InitialData:
 
 
 def _build_initial(cfg: SimConfig) -> _InitialData:
+    """Initial data of ``cfg.initial``; a missing or malformed descriptor key is a ConfigError."""
+    try:
+        return _initial_data(cfg)
+    except KeyError as exc:
+        raise ConfigError(f"missing initial-data key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed initial-data value: {exc}") from exc
+
+
+def _initial_data(cfg: SimConfig) -> _InitialData:
     doc = cfg.initial
     kind = doc["type"]
     ndim = cfg.dimensions
@@ -363,7 +363,7 @@ def _vortex_data(doc: dict, x: Array, y: Array) -> Array:
     h0 = float(doc.get("h0", 1.0))
     h_amp = float(doc.get("h_amp", 0.02))
     b_amp = float(doc.get("b_amp", 0.05))
-    v0 = np.asarray(doc.get("v0", (0.3, 0.2)), dtype=float)
+    v0 = np.asarray(doc.get("v0", (0.3, 0.2)), dtype=float).reshape(2)
     v_amp = float(doc.get("v_amp", 0.02))
     xx, yy = np.meshgrid(x, y, indexing="ij")
     h = h0 + h_amp * np.cos(kx * xx) * np.cos(ky * yy)

@@ -6,6 +6,7 @@ endings so that identical inputs reproduce byte-identical files.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 from typing import Iterable
@@ -32,7 +33,7 @@ def state_to_doc(u: State) -> dict:
 def state_from_doc(doc: dict) -> State:
     try:
         return State(h=doc["h"], v=doc["v"], B=doc["B"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed state document: {exc}") from exc
 
 
@@ -47,26 +48,48 @@ def side_pair_to_doc(sp: SidePair) -> dict:
 
 def side_pair_from_doc(doc: dict) -> SidePair:
     try:
-        front = doc.get("front", {})
         return SidePair(
             plus=state_from_doc(doc["plus"]),
             minus=state_from_doc(doc["minus"]),
-            front=FrontGeometry(slope=front.get("slope", 0.0), speed=front.get("speed", 0.0)),
+            front=FrontGeometry(**doc.get("front", {})),
             params=PhysParams(g=doc.get("g", 1.0)),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed side-pair document: {exc}") from exc
 
 
 def load_json(path: str | Path) -> dict:
+    """The JSON object in ``path``; any other top-level value is a ConfigError."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"no such file: {p}")
     try:
         with open(p, encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {p}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{p}: top level must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def config_kwargs(cls, doc: dict, allowed: tuple[str, ...] = ()) -> dict:
+    """Keyword arguments for the dataclass ``cls`` from a config document.
+
+    A key that is neither a field of ``cls`` nor in ``allowed``, and a
+    field without a default that the document lacks, is a ConfigError
+    naming the key; omitted fields keep their dataclass default.
+    """
+    fields = dataclasses.fields(cls)
+    names = tuple(f.name for f in fields)
+    for key in doc:
+        if key not in names and key not in allowed:
+            raise ConfigError(f"unknown config key {key!r}; expected one of {names + allowed}")
+    for f in fields:
+        if f.name not in doc and f.default is dataclasses.MISSING \
+                and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"missing config key {f.name!r}")
+    return {name: doc[name] for name in names if name in doc}
 
 
 def dump_json(doc: dict, path: str | Path | None = None) -> str:

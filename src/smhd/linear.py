@@ -25,13 +25,15 @@ pulses, so compliant data satisfy it exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 
+from .core import PhysParams
 from .errors import CflViolation, ConfigError, ConstraintViolation, LaxViolation
-from .shock import LinearizedShockSetup
+from .ioutil import config_kwargs
+from .shock import LinearizedShockSetup, linearized_setup, rectilinear_shock
 
 Array = np.ndarray
 
@@ -91,7 +93,7 @@ class LinearConfig:
     cells: tuple[int, int]
     extents: tuple[tuple[float, float], tuple[float, float]]
     end_time: float
-    pulse: dict
+    pulse: dict = field(default_factory=dict)
     cfl: float = 0.45
     output_interval: float | None = None
     wave_check_time: float | None = None
@@ -101,6 +103,8 @@ class LinearConfig:
         if len(self.cells) != 2 or any(n < 8 for n in self.cells):
             raise ConfigError(f"need a 2D grid with >= 8 cells per dimension, got {self.cells}")
         self.extents = tuple((float(a), float(b)) for a, b in self.extents)
+        if len(self.extents) != 2:
+            raise ConfigError(f"need two extents, got {self.extents}")
         if self.extents[0][0] != 0.0:
             raise ConfigError("the half-plane domain must start at x1 = 0")
         if not self.end_time > 0.0:
@@ -109,6 +113,27 @@ class LinearConfig:
             raise CflViolation(f"cfl must lie in (0, 1), got {self.cfl}")
         if self.output_interval is None:
             self.output_interval = self.end_time / 50.0
+
+    @staticmethod
+    def from_dict(doc: dict) -> tuple[LinearizedShockSetup, "LinearConfig"]:
+        """Shock setup and run config of a ``"kind": "linear"`` document.
+
+        ``shock`` holds ``h_minus``, ``ratio``, ``b1_plus`` and optionally
+        ``b2`` (default 0) and ``g`` (default 1); the other keys are the
+        fields of LinearConfig.  Unknown or missing keys are ConfigErrors.
+        """
+        kwargs = config_kwargs(LinearConfig, doc, allowed=("kind", "shock"))
+        try:
+            shock = doc["shock"]
+            h_minus, ratio, b1_plus = (float(shock[k]) for k in ("h_minus", "ratio", "b1_plus"))
+            b2, g = float(shock.get("b2", 0.0)), float(shock.get("g", 1.0))
+            cfg = LinearConfig(**kwargs)
+        except KeyError as exc:
+            raise ConfigError(f"missing config key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed config value: {exc}") from exc
+        params = PhysParams(g=g)
+        return linearized_setup(rectilinear_shock(h_minus, ratio, b1_plus, b2, params), params), cfg
 
 
 @dataclass

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FrontGeometry, PhysParams, State, normal_speeds
-from .errors import DegenerateHeight, InvalidRatio, LaxViolation, NotAShock
+from .errors import DegenerateHeight, InvalidParameter, InvalidRatio, LaxViolation, NotAShock
 from .jumps import (
     DiscontinuityType,
     SidePair,
@@ -262,7 +262,7 @@ def rectilinear_shock(
     if not (ratio > 0.0 and h_minus > 0.0):
         raise InvalidRatio(f"need positive heights, got h_minus={h_minus}, ratio={ratio}")
     if not b1_plus > 0.0:
-        raise ValueError("normalization requires B1+ > 0")
+        raise InvalidParameter("normalization requires B1+ > 0")
     g = params.g
     v1p_sq = b1_plus**2 + 0.5 * g * h_minus * (1.0 + 1.0 / ratio)
     v1_plus = math.sqrt(v1p_sq)
@@ -301,11 +301,6 @@ class LinearizedShockSetup:
     d0: float
     ell0: float
     a0: float
-
-    @property
-    def b_coef(self) -> np.ndarray:
-        """The transport direction (m1, m2) of the linearized field terms."""
-        return np.array([self.m1, self.m2])
 
 
 def linearized_setup(shock: RectilinearShock, params: PhysParams) -> LinearizedShockSetup:

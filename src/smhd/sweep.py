@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import PhysParams, State
-from .errors import ConfigError, InvalidRatio, SmhdError
+from .errors import ConfigError, SmhdError
 from .ioutil import fmt
 from .shock import lax_verdict, rectilinear_shock
 from .symmetrization import (
@@ -155,7 +155,7 @@ def evaluate_point(spec: SweepSpec, xv: float, yv: float) -> tuple[int, float]:
             CvsStability.EXCEPTIONAL_POINT: CODE_EXCEPTIONAL,
         }.get(verdict.tag, CODE_INCONCLUSIVE)
         return code, verdict.margin
-    except (InvalidRatio, ValueError, ZeroDivisionError, SmhdError):
+    except (SmhdError, ArithmeticError):
         return CODE_INVALID, 0.0
     except KeyError as exc:
         raise ConfigError(f"sweep is missing parameter {exc}") from exc

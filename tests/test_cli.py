@@ -1,10 +1,13 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from smhd.cli import main
+from smhd.cli import EXIT_CODES, main
 
 RATIONAL_PAIR = {
     "plus": {"h": 2.0, "v": [1.0, 0.0], "B": [0.5, 0.0]},
@@ -292,3 +295,84 @@ def test_console_script_help():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "smhd" in proc.stdout
+
+
+RIEMANN_1D = {"kind": "fv", "dimensions": 1, "cells": [32], "extents": [[-1.0, 1.0]],
+              "end_time": 0.1,
+              "initial": {"type": "riemann", "minus": RATIONAL_PAIR["minus"],
+                          "plus": RATIONAL_PAIR["plus"]}}
+
+LINEAR_RUN = {"kind": "linear",
+              "shock": {"h_minus": 1.0, "ratio": 2.0, "b1_plus": 0.5, "b2": 0.0, "g": 1.0},
+              "cells": [16, 8], "extents": [[0.0, 8.0], [0.0, 4.0]], "end_time": 0.1}
+
+
+def _with(doc, path=(), **changes):
+    """A deep copy of ``doc`` with ``changes`` merged into the object at ``path``."""
+    out = json.loads(json.dumps(doc))
+    target = out
+    for key in path:
+        target = target[key]
+    target.update(changes)
+    return out
+
+
+MINUS = ("initial", "minus")
+
+# name -> (argv, document for the file that ends argv, or None)
+BAD_INPUTS = {
+    "nsc-g-zero": (["stability", "nsc", "--g", "0"], None),
+    "nsc-infinite-jump": (["stability", "nsc", "--v2-jump", "inf"], None),
+    "shock-g-zero": (["shock", "1", "2", "0.5", "0", "--g", "0"], None),
+    "classify-g-zero": (["classify", "--input"], _with(RATIONAL_PAIR, g=0)),
+    "classify-slope-text": (["classify", "--input"], _with(RATIONAL_PAIR, ("front",), slope="x")),
+    "linear-lax-violation": (["simulate", "--config"], _with(LINEAR_RUN, ("shock",), ratio=0.5)),
+    "linear-negative-b1": (["simulate", "--config"], _with(LINEAR_RUN, ("shock",), b1_plus=-1)),
+    "linear-g-zero": (["simulate", "--config"], _with(LINEAR_RUN, ("shock",), g=0)),
+    "linear-one-extent": (["simulate", "--config"], _with(LINEAR_RUN, extents=[[0.0, 8.0]])),
+    "fv-negative-h": (["simulate", "--config"], _with(RIEMANN_1D, MINUS, h=-1)),
+    "fv-infinite-v": (["simulate", "--config"], _with(RIEMANN_1D, MINUS, v=[float("inf"), 0.0])),
+    "fv-short-v": (["simulate", "--config"], _with(RIEMANN_1D, MINUS, v=[1.0])),
+    "fv-dt-fixed-text": (["simulate", "--config"], _with(RIEMANN_1D, dt_fixed="x")),
+    "classify-array": (["classify", "--input"], [RATIONAL_PAIR]),
+    "stability-array": (["stability", "cvs", "--input"], [CVS_PAIR]),
+    "sweep-array": (["sweep", "--spec"], []),
+    "simulate-array": (["simulate", "--config"], [RIEMANN_1D]),
+}
+
+
+def _argv(tmp_path, argv, doc):
+    return argv if doc is None else [*argv, _write(tmp_path, "input.json", doc)]
+
+
+@pytest.mark.parametrize("argv, doc", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv, doc):
+    assert main([*_argv(tmp_path, argv, doc), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"{argv[0]}: ")
+
+
+def test_bad_input_prints_no_traceback(tmp_path):
+    argv, doc = BAD_INPUTS["linear-lax-violation"]
+    proc = subprocess.run([sys.executable, "-m", "smhd.cli", *_argv(tmp_path, argv, doc),
+                           "--out", str(tmp_path)], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("simulate: Froude window violated")
+
+
+@pytest.mark.parametrize("doc", [_with(RIEMANN_1D, cfll=0.3),
+                                 _with(LINEAR_RUN, pulsee={})],
+                         ids=["fv", "linear"])
+def test_simulate_unknown_key_exit_1(tmp_path, capsys, doc):
+    assert main(["simulate", "--config", _write(tmp_path, "c.json", doc),
+                 "--out", str(tmp_path)]) == 1
+    assert "unknown config key" in capsys.readouterr().err
+    assert not (tmp_path / "timeseries.csv").exists()
+
+
+def test_exit_code_table_matches_docs():
+    text = (Path(__file__).parents[1] / "docs" / "schemas.md").read_text(encoding="utf-8")
+    table = text.split("## Exit codes", 1)[1]
+    documented = {int(code) for code in re.findall(r"^\|\s*(\d+)\s*\|", table, flags=re.M)}
+    assert documented == {0, 1, 2, *EXIT_CODES.values()}

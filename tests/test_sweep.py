@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from smhd.cli import main
 from smhd.core import PhysParams
 from smhd.errors import ConfigError
 from smhd.ioutil import write_rows_csv
@@ -221,3 +223,20 @@ def test_sweep_svg_cells_in_row_major_order(tmp_path):
                         for i in range(codes.shape[0]) for j in range(codes.shape[1])
                         if codes[i, j] == code)
         assert f'<path d="{cells}"' in text
+
+
+def test_lax_overflow_points_are_invalid(tmp_path, capsys):
+    # b1_plus**2 overflows a Python float beyond ~1.3e154.
+    doc = {"verdict": "lax",
+           "x_axis": {"name": "ratio", "min": 0.5, "max": 2.0, "count": 3},
+           "y_axis": {"name": "b1_plus", "min": 1.0, "max": 1e200, "count": 3},
+           "fixed": {}}
+    codes, margins = run_sweep(SweepSpec.from_dict(doc))
+    assert np.all(codes[:, 1:] == CODE_INVALID) and np.all(margins[:, 1:] == 0.0)
+    assert np.all(codes[:, 0] != CODE_INVALID)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert [int(r.split(",")[2]) for r in rows] == codes.ravel().tolist()
