@@ -40,6 +40,7 @@ from .shock import (
     characteristic_speeds,
     det_boundary_matrix_closed_form,
     hugoniot_downstream,
+    lax_kernel,
     lax_verdict,
     linearized_setup,
     rectilinear_shock,

@@ -2,10 +2,11 @@
 
 Subcommands: classify, shock, stability, sweep, simulate.  All file
 outputs are deterministic; exit codes are 0 (success), 1 (malformed
-input or configuration), 2 (inadmissible data / Lax-violated shock),
-3 (positivity loss), 4 (CFL violation), 5 (non-finite state).  An
-``SmhdError`` escaping a subcommand becomes one ``<command>: <message>``
-line on stderr and the code ``EXIT_CODES`` gives its type.
+input or configuration, including a command line the parser rejects),
+2 (inadmissible data / Lax-violated shock), 3 (positivity loss), 4 (CFL
+violation), 5 (non-finite state).  An ``SmhdError`` escaping a
+subcommand becomes one ``<command>: <message>`` line on stderr and the
+code ``EXIT_CODES`` gives its type.
 """
 
 from __future__ import annotations
@@ -226,9 +227,16 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error: argparse's own 2 is a verdict code here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="smhd",
-                                 description="Shallow-water MHD analysis and simulation")
+    ap = _Parser(prog="smhd", description="Shallow-water MHD analysis and simulation")
     ap.add_argument("--version", action="version", version=f"smhd {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 

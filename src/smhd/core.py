@@ -28,6 +28,7 @@ than enforced by the equations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,19 @@ from .errors import InvalidParameter, NonPositiveHeight
 
 PRIMITIVE_HEIGHT = "primitive-height"
 PRESSURE = "pressure"
+
+
+def where(cond, x, y):
+    """``np.where`` that stays scalar for a scalar condition, so that one formula
+    serves a pointwise verdict (at Python-float speed) and a sweep kernel."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, x, y)
+    return x if cond else y
+
+
+def sqrt(x):
+    """``np.sqrt`` of an array, ``math.sqrt`` (a Python float) of a scalar."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .core import PhysParams, State, conserved_from_primitive, fluxes, normal_speeds
 from .errors import CflViolation, ConfigError, NonFiniteState, PositivityLoss
-from .ioutil import config_kwargs, state_from_doc
+from .ioutil import check_keys, config_kwargs, state_from_doc
 from .shock import RectilinearShock
 
 Array = np.ndarray
@@ -315,13 +315,22 @@ def _build_initial(cfg: SimConfig) -> _InitialData:
         raise ConfigError(f"malformed initial-data value: {exc}") from exc
 
 
+# The keys each initial-data type takes besides "type"; the last two types are 2D only.
+_INITIAL_KEYS = {
+    "uniform": ("state",),
+    "riemann": ("minus", "plus", "interface"),
+    "perturbed_shock": ("minus", "plus", "front_position", "amplitude", "wavelengths"),
+    "vortex": ("lx", "ly", "h0", "h_amp", "b_amp", "v0", "v_amp"),
+}
+
+
 def _initial_data(cfg: SimConfig) -> _InitialData:
     doc = cfg.initial
     kind = doc["type"]
     ndim = cfg.dimensions
-    kinds = ("uniform", "riemann") + (("perturbed_shock", "vortex") if ndim == 2 else ())
-    if kind not in kinds:
+    if kind not in tuple(_INITIAL_KEYS)[:2 * ndim]:
         raise ConfigError(f"unknown {ndim}D initial type {kind!r}")
+    check_keys(doc, ("type", *_INITIAL_KEYS[kind]), f"{kind} initial key")
     centers, widths = _grid(cfg)
     if kind == "uniform":
         q = conserved_from_primitive(state_from_doc(doc["state"]))
@@ -356,8 +365,10 @@ def _vortex_data(doc: dict, x: Array, y: Array) -> Array:
 
     Default amplitudes are gentle enough that the flow stays smooth well
     past t = 1, so first-order error behavior is observable."""
-    lx = doc.get("lx", x[-1] - x[0] + (x[1] - x[0]))
-    ly = doc.get("ly", y[-1] - y[0] + (y[1] - y[0]))
+    lx = float(doc.get("lx", x[-1] - x[0] + (x[1] - x[0])))
+    ly = float(doc.get("ly", y[-1] - y[0] + (y[1] - y[0])))
+    if not (0.0 < lx < math.inf and 0.0 < ly < math.inf):
+        raise ConfigError(f"vortex lx and ly must be positive and finite, got {lx}, {ly}")
     kx = 2.0 * math.pi / lx
     ky = 2.0 * math.pi / ly
     h0 = float(doc.get("h0", 1.0))

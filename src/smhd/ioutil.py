@@ -73,6 +73,16 @@ def load_json(path: str | Path) -> dict:
     return doc
 
 
+def check_keys(doc, names: tuple[str, ...], what: str = "config key") -> dict:
+    """``doc`` itself if it is an object whose keys all lie in ``names``, else a ConfigError."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"expected an object of {what}s, got {type(doc).__name__}")
+    for key in doc:
+        if key not in names:
+            raise ConfigError(f"unknown {what} {key!r}; expected one of {names}")
+    return doc
+
+
 def config_kwargs(cls, doc: dict, allowed: tuple[str, ...] = ()) -> dict:
     """Keyword arguments for the dataclass ``cls`` from a config document.
 
@@ -82,9 +92,7 @@ def config_kwargs(cls, doc: dict, allowed: tuple[str, ...] = ()) -> dict:
     """
     fields = dataclasses.fields(cls)
     names = tuple(f.name for f in fields)
-    for key in doc:
-        if key not in names and key not in allowed:
-            raise ConfigError(f"unknown config key {key!r}; expected one of {names + allowed}")
+    check_keys(doc, names + allowed)
     for f in fields:
         if f.name not in doc and f.default is dataclasses.MISSING \
                 and f.default_factory is dataclasses.MISSING:

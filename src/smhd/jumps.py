@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import FrontGeometry, PhysParams, State
+from .core import FrontGeometry, PhysParams, State, where
 from .errors import AmbiguousClassification
 
 DEFAULT_TOL = 1e-9
@@ -34,6 +35,14 @@ class SidePair:
     minus: State
     front: FrontGeometry
     params: PhysParams
+
+
+class GridSide(NamedTuple):
+    """An unvalidated ``State`` over a grid; ``v`` and ``B`` stack their components on axis 0."""
+
+    h: np.ndarray
+    v: np.ndarray
+    B: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -100,23 +109,29 @@ class DiscontinuityKind:
         return s
 
 
-def normal_tangential(vec: np.ndarray, slope: float) -> tuple[float, float]:
-    """Components of a 2-vector along N = (1, -s) and tau = (s, 1)."""
-    return float(vec[0] - vec[1] * slope), float(vec[0] * slope + vec[1])
+def normal_tangential(vec, slope: float):
+    """Components of a 2-vector along N = (1, -s) and tau = (s, 1); arrays for stacked arrays."""
+    vn, vtau = vec[0] - vec[1] * slope, vec[0] * slope + vec[1]
+    return (vn, vtau) if np.ndim(vn) else (float(vn), float(vtau))
 
 
 def trace_quantities(sp: SidePair) -> TraceQuantities:
     """Mass/magnetic fluxes and decompositions on both sides of the front."""
-    s = sp.front.slope
-    vn_p, vtau_p = normal_tangential(sp.plus.v, s)
-    vn_m, vtau_m = normal_tangential(sp.minus.v, s)
-    bn_p, btau_p = normal_tangential(sp.plus.B, s)
-    bn_m, btau_m = normal_tangential(sp.minus.B, s)
+    return side_traces(sp.plus, sp.minus, sp.front)
+
+
+def side_traces(plus, minus, front: FrontGeometry) -> TraceQuantities:
+    """``trace_quantities`` of two ``State``s, or of two ``GridSide``s as arrays."""
+    s = front.slope
+    vn_p, vtau_p = normal_tangential(plus.v, s)
+    vn_m, vtau_m = normal_tangential(minus.v, s)
+    bn_p, btau_p = normal_tangential(plus.B, s)
+    bn_m, btau_m = normal_tangential(minus.B, s)
     return TraceQuantities(
-        m_plus=sp.plus.h * (vn_p - sp.front.speed),
-        m_minus=sp.minus.h * (vn_m - sp.front.speed),
-        b_plus=sp.plus.h * bn_p,
-        b_minus=sp.minus.h * bn_m,
+        m_plus=plus.h * (vn_p - front.speed),
+        m_minus=minus.h * (vn_m - front.speed),
+        b_plus=plus.h * bn_p,
+        b_minus=minus.h * bn_m,
         vn_plus=vn_p,
         vn_minus=vn_m,
         vtau_plus=vtau_p,
@@ -125,32 +140,81 @@ def trace_quantities(sp: SidePair) -> TraceQuantities:
         bn_minus=bn_m,
         btau_plus=btau_p,
         btau_minus=btau_m,
-        h_mean=sp.plus.h + sp.minus.h,
-        norm_sq=sp.front.norm_sq,
+        h_mean=plus.h + minus.h,
+        norm_sq=front.norm_sq,
     )
 
 
 def residual_scale(tq: TraceQuantities, g: float) -> float:
-    """Magnitude used for relative zero tests: max(1, |m+|, |b+|, g <h>^2)."""
-    return max(1.0, abs(tq.m_plus), abs(tq.b_plus), g * tq.h_mean**2)
+    """Magnitude used for relative zero tests: max(1, |m+|, |b+|, g <h>^2).
+
+    Scalars or arrays; like ``max()``, keeps the earlier value on a tie or a NaN.
+    """
+    scale = 1.0
+    for value in (abs(tq.m_plus), abs(tq.b_plus), g * tq.h_mean**2):
+        scale = where(value > scale, value, scale)
+    return scale
+
+
+def _residual_rows(tq: TraceQuantities, h_plus, h_minus, g) -> np.ndarray:
+    """The five jump-condition residuals, stacked on axis 0."""
+    hj = h_plus - h_minus
+    m, b = tq.m_minus, tq.b_minus
+    dvt = tq.vtau_plus - tq.vtau_minus
+    dbt = tq.btau_plus - tq.btau_minus
+    return np.array([
+        tq.m_plus - tq.m_minus,
+        tq.b_plus - tq.b_minus,
+        hj * (m * m - b * b - 0.5 * g * tq.norm_sq * tq.h_mean * h_plus * h_minus),
+        m * dvt - b * dbt,
+        m * dbt - b * dvt,
+    ])
 
 
 def rh_residual(sp: SidePair) -> RHResidual:
     """Residual vector of the five jump conditions; zero iff they hold."""
     tq = trace_quantities(sp)
     g = sp.params.g
-    hj = sp.plus.h - sp.minus.h
+    return RHResidual(r=_residual_rows(tq, sp.plus.h, sp.minus.h, g), scale=residual_scale(tq, g))
+
+
+# ``classify``'s outcome per ``kind_code``: one per test, in test order, then
+# the shock.  A string is the message of an AmbiguousClassification.
+_OUTCOMES = (
+    DiscontinuityKind(DiscontinuityType.INADMISSIBLE),
+    DiscontinuityKind(DiscontinuityType.CONTINUOUS),
+    DiscontinuityKind(DiscontinuityType.CURRENT_VORTEX_SHEET),
+    "m = b = 0 within tolerance but [h] != 0: residual band too loose",
+    DiscontinuityKind(DiscontinuityType.CONTINUOUS,
+                      note="m = 0 with b != 0 admits no discontinuity; residual-consistent "
+                           "data are continuous up to tolerance"),
+    DiscontinuityKind(DiscontinuityType.ALFVEN),
+    "m^2 = b^2 within tolerance but [h] != 0",
+    DiscontinuityKind(DiscontinuityType.CONTINUOUS,
+                      note="[h] = 0 with m^2 != b^2 forces [v] = [B] = 0"),
+    DiscontinuityKind(DiscontinuityType.SHOCK),
+)
+KIND_INADMISSIBLE, KIND_SHOCK = 0, len(_OUTCOMES) - 1
+
+
+def kind_code(plus, minus, front: FrontGeometry, g, tol: float = DEFAULT_TOL):
+    """Outcome index of ``classify`` for ``State``s or ``GridSide``s: the first test that holds."""
+    tq = side_traces(plus, minus, front)
+    band = tol * residual_scale(tq, g)
     m, b = tq.m_minus, tq.b_minus
-    dvt = tq.vtau_plus - tq.vtau_minus
-    dbt = tq.btau_plus - tq.btau_minus
-    r = np.array([
-        tq.m_plus - tq.m_minus,
-        tq.b_plus - tq.b_minus,
-        hj * (m * m - b * b - 0.5 * g * tq.norm_sq * tq.h_mean * sp.plus.h * sp.minus.h),
-        m * dvt - b * dbt,
-        m * dbt - b * dvt,
-    ])
-    return RHResidual(r=r, scale=residual_scale(tq, g))
+    h_jump = plus.h - minus.h
+    h_zero = abs(h_jump) <= band
+    m_zero = abs(m) <= band
+    sheet = m_zero & (abs(b) <= band)
+    alfven = abs(abs(m) - abs(b)) <= band
+    state_jump = np.concatenate(([h_jump], plus.v - minus.v, plus.B - minus.B))
+    tests = (np.max(np.abs(_residual_rows(tq, plus.h, minus.h, g)), axis=0) > band,
+             np.max(np.abs(state_jump), axis=0) <= band,
+             sheet & h_zero, sheet, m_zero, alfven & h_zero, alfven, h_zero)
+    code = KIND_SHOCK
+    for k in reversed(range(KIND_SHOCK)):
+        code = where(tests[k], k, code)
+    return code
 
 
 def classify(sp: SidePair, tol: float = DEFAULT_TOL) -> DiscontinuityKind:
@@ -163,51 +227,15 @@ def classify(sp: SidePair, tol: float = DEFAULT_TOL) -> DiscontinuityKind:
     diagnostic note; corners whose zero flags disagree with the implied
     algebra raise AmbiguousClassification rather than guessing.
     """
-    res = rh_residual(sp)
-    tq = trace_quantities(sp)
-    band = tol * res.scale
-    if res.max_abs > band:
+    code = kind_code(sp.plus, sp.minus, sp.front, sp.params.g, tol)
+    if code == KIND_INADMISSIBLE:
+        res = rh_residual(sp)
+        band = tol * res.scale
         worst = int(np.argmax(np.abs(res.r)))
         return DiscontinuityKind(
             DiscontinuityType.INADMISSIBLE,
             reason=f"jump-condition residual {res.max_abs:.3e} exceeds {band:.3e} (entry {worst})",
         )
-
-    m, b = tq.m_minus, tq.b_minus
-    m_zero = abs(m) <= band
-    b_zero = abs(b) <= band
-    h_jump = sp.plus.h - sp.minus.h
-    h_zero = abs(h_jump) <= band
-    state_jump = float(np.max(np.abs(sp.plus.as_vector() - sp.minus.as_vector())))
-
-    if state_jump <= band:
-        return DiscontinuityKind(DiscontinuityType.CONTINUOUS)
-
-    if m_zero and b_zero:
-        if not h_zero:
-            raise AmbiguousClassification(
-                "m = b = 0 within tolerance but [h] != 0: residual band too loose"
-            )
-        return DiscontinuityKind(DiscontinuityType.CURRENT_VORTEX_SHEET)
-
-    if m_zero:  # b != 0: jump conditions force a continuous flow
-        return DiscontinuityKind(
-            DiscontinuityType.CONTINUOUS,
-            note="m = 0 with b != 0 admits no discontinuity; residual-consistent "
-                 "data are continuous up to tolerance",
-        )
-
-    if abs(abs(m) - abs(b)) <= band:
-        if not h_zero:
-            raise AmbiguousClassification(
-                "m^2 = b^2 within tolerance but [h] != 0"
-            )
-        return DiscontinuityKind(DiscontinuityType.ALFVEN)
-
-    if h_zero:
-        return DiscontinuityKind(
-            DiscontinuityType.CONTINUOUS,
-            note="[h] = 0 with m^2 != b^2 forces [v] = [B] = 0",
-        )
-
-    return DiscontinuityKind(DiscontinuityType.SHOCK)
+    if isinstance(_OUTCOMES[code], str):
+        raise AmbiguousClassification(_OUTCOMES[code])
+    return _OUTCOMES[code]

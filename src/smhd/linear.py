@@ -32,10 +32,14 @@ import scipy.linalg as sla
 
 from .core import PhysParams
 from .errors import CflViolation, ConfigError, ConstraintViolation, LaxViolation
-from .ioutil import config_kwargs
+from .ioutil import check_keys, config_kwargs
 from .shock import LinearizedShockSetup, linearized_setup, rectilinear_shock
 
 Array = np.ndarray
+
+_SHOCK_KEYS = ("h_minus", "ratio", "b1_plus", "b2", "g")
+_PULSE_KEYS = ("center", "width", "p_amplitude", "v1_amplitude", "v2_amplitude",
+               "potential_amplitude")
 
 
 def system_matrices(setup: LinearizedShockSetup) -> tuple[Array, Array, Array]:
@@ -113,6 +117,7 @@ class LinearConfig:
             raise CflViolation(f"cfl must lie in (0, 1), got {self.cfl}")
         if self.output_interval is None:
             self.output_interval = self.end_time / 50.0
+        check_keys(self.pulse, _PULSE_KEYS, "pulse key")
 
     @staticmethod
     def from_dict(doc: dict) -> tuple[LinearizedShockSetup, "LinearConfig"]:
@@ -124,7 +129,7 @@ class LinearConfig:
         """
         kwargs = config_kwargs(LinearConfig, doc, allowed=("kind", "shock"))
         try:
-            shock = doc["shock"]
+            shock = check_keys(doc["shock"], _SHOCK_KEYS, "shock key")
             h_minus, ratio, b1_plus = (float(shock[k]) for k in ("h_minus", "ratio", "b1_plus"))
             b2, g = float(shock.get("b2", 0.0)), float(shock.get("g", 1.0))
             cfg = LinearConfig(**kwargs)
@@ -188,7 +193,10 @@ def make_constraint_pulse(cfg: LinearConfig, setup: LinearizedShockSetup) -> Arr
     y = y0 + dy * (np.arange(n2) + 0.5)
     xx, yy = np.meshgrid(x, y, indexing="ij")
     doc = cfg.pulse
-    cx, cy = doc.get("center", (0.5 * (x0 + x1), 0.5 * (y0 + y1)))
+    try:
+        cx, cy = (float(c) for c in doc.get("center", (0.5 * (x0 + x1), 0.5 * (y0 + y1))))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"pulse center must be a pair of numbers: {exc}") from exc
     w = float(doc.get("width", 0.1 * (x1 - x0)))
     r2 = ((xx - cx) ** 2 + (yy - cy) ** 2) / w**2
     bump = np.where(r2 < 16.0, np.exp(-r2), 0.0)

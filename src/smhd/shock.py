@@ -22,11 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrontGeometry, PhysParams, State, normal_speeds
+from .core import FrontGeometry, PhysParams, State, normal_speeds, sqrt
 from .errors import DegenerateHeight, InvalidParameter, InvalidRatio, LaxViolation, NotAShock
 from .jumps import (
+    DEFAULT_TOL,
     DiscontinuityType,
+    GridSide,
     SidePair,
+    TraceQuantities,
     classify,
     normal_tangential,
     trace_quantities,
@@ -156,7 +159,18 @@ class ShockDiagnostics:
     field_flipped: bool
 
 
-def lax_verdict(sp: SidePair, tol: float = 1e-9) -> ShockDiagnostics:
+def lax_kernel(tq: TraceQuantities, h_plus, h_minus, g, speed):
+    """The extreme 1-shock inequalities of the module docstring on canonically
+    oriented trace quantities, scalars or arrays; returns (satisfied, cg_plus, cg_minus).
+    """
+    cg_plus = sqrt(tq.bn_plus**2 + g * h_plus * tq.norm_sq)
+    cg_minus = sqrt(tq.bn_minus**2 + g * h_minus * tq.norm_sq)
+    rel_plus = tq.vn_plus - speed
+    satisfied = (tq.vn_minus - speed > cg_minus) & (tq.bn_plus < rel_plus) & (rel_plus < cg_plus)
+    return satisfied, cg_plus, cg_minus
+
+
+def lax_verdict(sp: SidePair, tol: float = DEFAULT_TOL) -> ShockDiagnostics:
     """Evaluate the extreme 1-shock inequalities for a classified shock.
 
     Raises NotAShock when the pair does not classify as a shock.
@@ -167,15 +181,8 @@ def lax_verdict(sp: SidePair, tol: float = 1e-9) -> ShockDiagnostics:
 
     csp, swapped, flipped = canonical_orientation(sp)
     tq = trace_quantities(csp)
-    g = csp.params.g
-    nsq = csp.front.norm_sq
     speed = csp.front.speed
-
-    cg_p = math.sqrt(tq.bn_plus**2 + g * csp.plus.h * nsq)
-    cg_m = math.sqrt(tq.bn_minus**2 + g * csp.minus.h * nsq)
-    rel_m = tq.vn_minus - speed
-    rel_p = tq.vn_plus - speed
-    ok = (rel_m > cg_m) and (tq.bn_plus < rel_p < cg_p)
+    ok, cg_p, cg_m = lax_kernel(tq, csp.plus.h, csp.minus.h, csp.params.g, speed)
 
     return ShockDiagnostics(
         eigenvalues_plus=characteristic_speeds(csp.plus, csp.front, csp.params),
@@ -248,6 +255,14 @@ class RectilinearShock:
         return SidePair(plus=self.plus_state(), minus=self.minus_state(),
                         front=FrontGeometry(0.0, 0.0), params=PhysParams(g=self.g))
 
+    def grid_sides(self) -> tuple[GridSide, GridSide]:
+        """(plus, minus) sides of a family whose constants are equal-shape arrays."""
+        zero = np.zeros_like(self.h_plus)
+        return (GridSide(self.h_plus, np.array([self.v1_plus, zero]),
+                         np.array([self.b1_plus, self.b2])),
+                GridSide(self.h_minus, np.array([self.v1_minus, zero]),
+                         np.array([self.b1_minus, self.b2])))
+
 
 def rectilinear_shock(
     h_minus: float,
@@ -263,19 +278,14 @@ def rectilinear_shock(
         raise InvalidRatio(f"need positive heights, got h_minus={h_minus}, ratio={ratio}")
     if not b1_plus > 0.0:
         raise InvalidParameter("normalization requires B1+ > 0")
-    g = params.g
-    v1p_sq = b1_plus**2 + 0.5 * g * h_minus * (1.0 + 1.0 / ratio)
-    v1_plus = math.sqrt(v1p_sq)
-    return RectilinearShock(
-        h_minus=h_minus,
-        h_plus=ratio * h_minus,
-        v1_minus=ratio * v1_plus,
-        v1_plus=v1_plus,
-        b1_minus=ratio * b1_plus,
-        b1_plus=b1_plus,
-        b2=b2,
-        g=g,
-    )
+    return rectilinear_family(h_minus, ratio, b1_plus, b2, params.g)
+
+
+def rectilinear_family(h_minus, ratio, b1_plus, b2, g) -> RectilinearShock:
+    """``rectilinear_shock`` without its checks, on scalars or equal-shape arrays."""
+    v1_plus = sqrt(b1_plus**2 + 0.5 * g * h_minus * (1.0 + 1.0 / ratio))
+    return RectilinearShock(h_minus, ratio * h_minus, ratio * v1_plus, v1_plus,
+                            ratio * b1_plus, b1_plus, b2, g)
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,15 @@
 
 Supported verdict functions:
 
-* ``lax``: construct the rectilinear shock for each (parameter) pair and
-  evaluate the extreme-shock inequalities;
+* ``lax``: the extreme-shock inequalities of the rectilinear shock
+  family (``rectilinear_shock`` + ``lax_verdict``);
 * ``cvs-sufficient``: the energy-method sufficient condition for a
   rectilinear current-vortex sheet;
 * ``cvs-nsc``: the closed-form necessary/sufficient condition of the
   symmetric sheet, with its exceptional curves overplotted.
+
+``run_sweep`` evaluates each verdict once on the whole grid, with the
+array kernel that its pointwise API calls too.
 
 Verdict codes written to the CSV: 2 stable, 0 unstable, 3 exceptional,
 1 inconclusive, -1 not evaluable (degenerate parameters).
@@ -20,20 +23,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import PhysParams, State
-from .errors import ConfigError, SmhdError
-from .ioutil import fmt
-from .shock import lax_verdict, rectilinear_shock
+from .core import FrontGeometry, State
+from .errors import ConfigError
+from .ioutil import check_keys, fmt
+from .jumps import KIND_SHOCK, kind_code, side_traces
+from .shock import lax_kernel, rectilinear_family
 from .symmetrization import (
     CODE_EXCEPTIONAL,
     CODE_INCONCLUSIVE,
     CODE_STABLE,
     CODE_UNSTABLE,
-    CvsStability,
     cvs_nsc_kernel,
-    cvs_nsc_verdict,
     cvs_sufficient_kernel,
-    cvs_sufficient_verdict,
     nsc_curves,
 )
 
@@ -50,11 +51,12 @@ _COLORS = {
 _NSC_CURVE_NAMES = ("a=b", "a=sqrt(b2+G)-b", "a=sqrt(b2+G)", "a=b*sqrt((b2+2G)/(b2+G))",
                     "a=2b", "a=2*sqrt(b2+2G)")
 
-# Axis and fixed parameter names accepted per verdict.
+# Axis and fixed parameter names accepted per verdict, with their defaults
+# (None: the sweep must set it).
 _PARAMETERS = {
-    "lax": ("ratio", "b1_plus", "h_minus", "b2", "g"),
-    "cvs-sufficient": ("v2_jump", "b2_plus", "h", "g", "epsilon"),
-    "cvs-nsc": ("v2_jump", "b2_plus", "h", "g"),
+    "lax": {"ratio": None, "b1_plus": 0.5, "h_minus": 1.0, "b2": 0.0, "g": 1.0},
+    "cvs-sufficient": {"v2_jump": None, "b2_plus": None, "h": 1.0, "g": 1.0, "epsilon": 1e-6},
+    "cvs-nsc": {"v2_jump": None, "b2_plus": None, "h": 1.0, "g": 1.0},
 }
 
 
@@ -92,13 +94,9 @@ class SweepSpec:
                               f"expected one of {tuple(_PARAMETERS)}")
         if self.x_axis.name == self.y_axis.name:
             raise ConfigError(f"x and y axes are both {self.x_axis.name!r}")
-        if not isinstance(self.fixed, dict):
-            raise ConfigError("sweep 'fixed' must be an object")
-        names = _PARAMETERS[self.verdict]
-        for name in (self.x_axis.name, self.y_axis.name, *self.fixed):
-            if name not in names:
-                raise ConfigError(f"unknown {self.verdict} sweep parameter {name!r}; "
-                                  f"expected one of {names}")
+        names, what = tuple(_PARAMETERS[self.verdict]), f"{self.verdict} sweep parameter"
+        check_keys(dict.fromkeys((self.x_axis.name, self.y_axis.name)), names, what)
+        check_keys(self.fixed, names, what)
         try:
             self.fixed = {name: float(value) for name, value in self.fixed.items()}
         except (TypeError, ValueError) as exc:
@@ -106,9 +104,10 @@ class SweepSpec:
 
     @staticmethod
     def from_dict(doc: dict) -> "SweepSpec":
+        check_keys(doc, ("verdict", "x_axis", "y_axis", "fixed"), "sweep spec key")
         try:
-            ax = doc["x_axis"]
-            ay = doc["y_axis"]
+            ax, ay = (check_keys(doc[axis], ("name", "min", "max", "count"), f"{axis} key")
+                      for axis in ("x_axis", "y_axis"))
             return SweepSpec(
                 verdict=doc["verdict"],
                 x_axis=Axis(ax["name"], ax["min"], ax["max"], ax["count"]),
@@ -126,79 +125,70 @@ def symmetric_pair(v2_jump: float, b2_plus: float, h: float) -> tuple[State, Sta
     return plus, minus
 
 
-def evaluate_point(spec: SweepSpec, xv: float, yv: float) -> tuple[int, float]:
-    """Verdict code and margin at one grid point."""
-    p = dict(spec.fixed)
-    p[spec.x_axis.name] = xv
-    p[spec.y_axis.name] = yv
-    g = float(p.get("g", 1.0))
-    try:
-        if spec.verdict == "lax":
-            shock = rectilinear_shock(
-                float(p.get("h_minus", 1.0)), float(p["ratio"]),
-                float(p.get("b1_plus", 0.5)), float(p.get("b2", 0.0)), PhysParams(g))
-            diag = lax_verdict(shock.side_pair())
-            return (CODE_STABLE if diag.satisfied else CODE_UNSTABLE, abs(diag.height_jump))
-        if spec.verdict == "cvs-sufficient":
-            plus, minus = symmetric_pair(float(p["v2_jump"]), float(p["b2_plus"]),
-                                         float(p.get("h", 1.0)))
-            verdict = cvs_sufficient_verdict(plus, minus, float(p.get("epsilon", 1e-6)))
-            code = CODE_STABLE if verdict.tag is CvsStability.SUFFICIENTLY_STABLE \
-                else CODE_INCONCLUSIVE
-            return code, verdict.margin
-        plus, minus = symmetric_pair(float(p["v2_jump"]), float(p["b2_plus"]),
-                                     float(p.get("h", 1.0)))
-        verdict = cvs_nsc_verdict(plus, minus, PhysParams(g))
-        code = {
-            CvsStability.NSC_STABLE: CODE_STABLE,
-            CvsStability.NSC_UNSTABLE: CODE_UNSTABLE,
-            CvsStability.EXCEPTIONAL_POINT: CODE_EXCEPTIONAL,
-        }.get(verdict.tag, CODE_INCONCLUSIVE)
-        return code, verdict.margin
-    except (SmhdError, ArithmeticError):
-        return CODE_INVALID, 0.0
-    except KeyError as exc:
-        raise ConfigError(f"sweep is missing parameter {exc}") from exc
+def _grid(spec: SweepSpec) -> dict:
+    """Every parameter of the verdict as an array broadcasting to (nx, ny); axes override."""
+    values = {**_PARAMETERS[spec.verdict], **spec.fixed,
+              spec.x_axis.name: spec.x_axis.values[:, None],
+              spec.y_axis.name: spec.y_axis.values[None, :]}
+    for name, value in values.items():
+        if value is None:
+            raise ConfigError(f"sweep is missing parameter {name!r}")
+    return {name: np.asarray(value, dtype=float) for name, value in values.items()}
+
+
+def _lax(p: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(invalid, code, margin) of the rectilinear shock family.
+
+    v1 > 0 and B1+ > 0, so the canonical orientation is the identity.
+    Invalid are the points where ``rectilinear_shock`` + ``lax_verdict`` raise.
+    """
+    h_minus, ratio, b1_plus, b2, g = np.broadcast_arrays(
+        p["h_minus"], p["ratio"], p["b1_plus"], p["b2"], p["g"])
+    shock = rectilinear_family(h_minus, ratio, b1_plus, b2, g)
+    plus, minus = shock.grid_sides()
+    front = FrontGeometry()
+    satisfied, _, _ = lax_kernel(side_traces(plus, minus, front), plus.h, minus.h, g, front.speed)
+    heights = np.array([plus.h, minus.h])
+    invalid = (~((g > 0.0) & np.isfinite(g))
+               | ~(b1_plus > 0.0)
+               | ~np.all(heights > 0.0, axis=0)
+               # State's finiteness check; b1_plus**2 overflowing makes v1 infinite
+               | ~np.all(np.isfinite([*heights, *plus.v, *plus.B, *minus.v, *minus.B]), axis=0)
+               # not a shock; h_mean**2 overflowing makes classify's band infinite
+               | (kind_code(plus, minus, front, g) != KIND_SHOCK)
+               # h**6 overflows in lax_verdict's boundary determinants
+               | np.any(np.isinf(heights**6), axis=0))
+    return invalid, np.where(satisfied, CODE_STABLE, CODE_UNSTABLE), abs(plus.h - minus.h)
+
+
+def _cvs(p: dict, verdict: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(invalid, code, margin) of the sheets of ``symmetric_pair``.
+
+    Invalid are the points where the pointwise verdicts raise.
+    """
+    v2_jump, b2_plus, h = p["v2_jump"], p["b2_plus"], p["h"]
+    invalid = ~((h > 0.0) & np.isfinite(h) & np.isfinite(v2_jump) & np.isfinite(b2_plus))
+    # |[v2]| of the sides symmetric_pair builds.
+    jump = abs(0.5 * v2_jump - (-0.5 * v2_jump))
+    if verdict == "cvs-sufficient":
+        code, margin = cvs_sufficient_kernel(jump, b2_plus, -b2_plus, p["epsilon"])
+        return invalid | (b2_plus == 0.0), code, margin
+    g = p["g"]
+    b = abs(b2_plus)
+    code, _, margin = cvs_nsc_kernel(jump, b, g * h)
+    return invalid | ~((g > 0.0) & np.isfinite(g)) | (b * b + g * h == 0.0), code, margin
 
 
 def run_sweep(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the grid; returns (codes, margins) shaped (nx, ny).
+    """Evaluate the grid with the verdict's kernel; returns (codes, margins) shaped (nx, ny).
 
-    ``lax`` calls ``evaluate_point`` per point.  The cvs verdicts run
-    their array kernels on the whole grid, with code -1 wherever
-    ``evaluate_point`` would hit a degenerate state: h <= 0, g <= 0
-    (nsc), a non-finite parameter, B2 = 0 on both sides (sufficient) or
-    b^2 + g h = 0 (nsc).
+    Code -1 (margin 0) marks the points where the pointwise API raises.
     """
-    xs = spec.x_axis.values
-    ys = spec.y_axis.values
-    codes = np.empty((xs.size, ys.size), dtype=int)
-    margins = np.empty((xs.size, ys.size))
-    if spec.verdict == "lax":
-        for i, xv in enumerate(xs):
-            for j, yv in enumerate(ys):
-                codes[i, j], margins[i, j] = evaluate_point(spec, xv, yv)
-        return codes, margins
-    p = dict(spec.fixed)
-    p[spec.x_axis.name] = xs[:, None]
-    p[spec.y_axis.name] = ys[None, :]
-    try:
-        v2_jump, b2_plus = p["v2_jump"], p["b2_plus"]
-    except KeyError as exc:
-        raise ConfigError(f"sweep is missing parameter {exc}") from exc
-    h = p.get("h", 1.0)
+    p = _grid(spec)
     with np.errstate(all="ignore"):
-        invalid = ~((h > 0.0) & np.isfinite(h) & np.isfinite(v2_jump) & np.isfinite(b2_plus))
-        # |[v2]| of the sides symmetric_pair builds.
-        jump = abs(0.5 * v2_jump - (-0.5 * v2_jump))
-        if spec.verdict == "cvs-sufficient":
-            invalid = invalid | (b2_plus == 0.0)
-            code, margin = cvs_sufficient_kernel(jump, b2_plus, -b2_plus, p.get("epsilon", 1e-6))
-        else:
-            g = p.get("g", 1.0)
-            b = abs(b2_plus)
-            invalid = invalid | ~((g > 0.0) & np.isfinite(g)) | (b * b + g * h == 0.0)
-            code, _, margin = cvs_nsc_kernel(jump, b, g * h)
+        invalid, code, margin = _lax(p) if spec.verdict == "lax" else _cvs(p, spec.verdict)
+    codes = np.empty((spec.x_axis.count, spec.y_axis.count), dtype=int)
+    margins = np.empty(codes.shape)
     codes[...] = np.where(invalid, CODE_INVALID, code)
     margins[...] = np.where(invalid, 0.0, margin)
     return codes, margins
@@ -215,28 +205,15 @@ def sweep_csv(spec: SweepSpec, codes: np.ndarray, margins: np.ndarray, path: str
 
 
 def _nsc_exception_curves(spec: SweepSpec) -> list[tuple[str, np.ndarray, np.ndarray]]:
-    """Exceptional/boundary curves (|v2 jump| as a function of b2+)."""
-    g = float(spec.fixed.get("g", 1.0))
-    h = float(spec.fixed.get("h", 1.0))
-    big_g = g * h
-    if spec.x_axis.name == "v2_jump" and spec.y_axis.name == "b2_plus":
-        b = np.abs(spec.y_axis.values)
-        ordinate = spec.y_axis.values
-        swap = False
-    elif spec.y_axis.name == "v2_jump" and spec.x_axis.name == "b2_plus":
-        b = np.abs(spec.x_axis.values)
-        ordinate = spec.x_axis.values
-        swap = True
-    else:
+    """Exceptional/boundary curves (|v2 jump| as a function of b2+) on those two axes."""
+    if {spec.x_axis.name, spec.y_axis.name} != {"v2_jump", "b2_plus"}:
         return []
-    out = []
-    for name, a in zip(_NSC_CURVE_NAMES, nsc_curves(b, big_g)):
-        for sign in (1.0, -1.0):
-            if swap:
-                out.append((name, ordinate, sign * a))
-            else:
-                out.append((name, sign * a, ordinate))
-    return out
+    p = _grid(spec)
+    b2 = p["b2_plus"].ravel()
+    swap = spec.x_axis.name == "b2_plus"
+    return [(name, b2, sign * a) if swap else (name, sign * a, b2)
+            for name, a in zip(_NSC_CURVE_NAMES, nsc_curves(abs(b2), p["g"] * p["h"]))
+            for sign in (1.0, -1.0)]
 
 
 def sweep_svg(spec: SweepSpec, codes: np.ndarray, path: str | Path,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysParams, State
+from .core import PhysParams, State, where
 from .errors import (
     ConstraintViolation,
     HeightMismatch,
@@ -239,13 +239,6 @@ CODE_STABLE = 2
 CODE_EXCEPTIONAL = 3
 
 
-def _where(cond, x, y):
-    """``np.where`` that stays scalar for a scalar condition (cheap pointwise verdicts)."""
-    if isinstance(cond, np.ndarray):
-        return np.where(cond, x, y)
-    return x if cond else y
-
-
 def cvs_sufficient_kernel(jump, b2_plus, b2_minus, epsilon):
     """Sufficient condition on broadcastable arrays; returns (code, margin).
 
@@ -257,7 +250,7 @@ def cvs_sufficient_kernel(jump, b2_plus, b2_minus, epsilon):
     abs_m = abs(b2_minus)
     slack = abs_p + abs_m - jump
     stable = (slack >= epsilon) & ((abs_p >= epsilon) | (abs_m >= epsilon))
-    return _where(stable, CODE_STABLE, CODE_INCONCLUSIVE), abs(slack)
+    return where(stable, CODE_STABLE, CODE_INCONCLUSIVE), abs(slack)
 
 
 def nsc_curves(b, big_g):
@@ -286,22 +279,22 @@ def cvs_nsc_kernel(a, b, big_g, tol=DEFAULT_TOL):
     """
     curves = nsc_curves(b, big_g)
     outer = curves[5]
-    scale = _where(a > 1.0, a, 1.0)
-    band = tol * _where(outer > scale, outer, scale)
+    scale = where(a > 1.0, a, 1.0)
+    band = tol * where(outer > scale, outer, scale)
     index, matched, nearest = 0, 0.0, np.inf
     # From curve 6 down to 1, so the hit written last is the first in index order;
     # the running minima use a strict <, as min() does.
     for k in range(6, 0, -1):
         dist = abs(a - curves[k - 1])
         hit = dist <= band
-        index = _where(hit, k, index)
-        matched = _where(hit, dist, matched)
-        nearest = _where(dist < nearest, dist, nearest)
+        index = where(hit, k, index)
+        matched = where(hit, dist, matched)
+        nearest = where(dist < nearest, dist, nearest)
         if k == 5:
             boundary = nearest
     stable = (a > outer) | (a < 2.0 * b)
-    code = _where(index > 0, CODE_EXCEPTIONAL, _where(stable, CODE_STABLE, CODE_UNSTABLE))
-    return code, index, _where(index > 0, matched, _where(stable, nearest, boundary))
+    code = where(index > 0, CODE_EXCEPTIONAL, where(stable, CODE_STABLE, CODE_UNSTABLE))
+    return code, index, where(index > 0, matched, where(stable, nearest, boundary))
 
 
 def cvs_sufficient_verdict(

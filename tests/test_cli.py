@@ -306,6 +306,9 @@ LINEAR_RUN = {"kind": "linear",
               "shock": {"h_minus": 1.0, "ratio": 2.0, "b1_plus": 0.5, "b2": 0.0, "g": 1.0},
               "cells": [16, 8], "extents": [[0.0, 8.0], [0.0, 4.0]], "end_time": 0.1}
 
+VORTEX_2D = {"kind": "fv", "dimensions": 2, "cells": [8, 8], "extents": [[0.0, 1.0], [0.0, 1.0]],
+             "end_time": 0.01, "boundary_x1": "periodic", "initial": {"type": "vortex"}}
+
 
 def _with(doc, path=(), **changes):
     """A deep copy of ``doc`` with ``changes`` merged into the object at ``path``."""
@@ -337,7 +340,19 @@ BAD_INPUTS = {
     "classify-array": (["classify", "--input"], [RATIONAL_PAIR]),
     "stability-array": (["stability", "cvs", "--input"], [CVS_PAIR]),
     "sweep-array": (["sweep", "--spec"], []),
+    "sweep-unknown-key": (["sweep", "--spec"], {
+        "verdict": "lax", "x_axis": {"name": "ratio", "min": 0.5, "max": 2.0, "count": 3},
+        "y_axis": {"name": "b1_plus", "min": 0.1, "max": 1.0, "count": 2}, "fixd": {"g": -2.0}}),
+    "sweep-axis-unknown-key": (["sweep", "--spec"], {
+        "verdict": "lax", "x_axis": {"name": "ratio", "min": 0.5, "max": 2.0, "count": 3},
+        "y_axis": {"name": "b1_plus", "min": 0.1, "max": 1.0, "count": 2, "cout": 9}}),
     "simulate-array": (["simulate", "--config"], [RIEMANN_1D]),
+    "pulse-center-number": (["simulate", "--config"], _with(LINEAR_RUN, pulse={"center": 3})),
+    "pulse-center-triple": (["simulate", "--config"],
+                            _with(LINEAR_RUN, pulse={"center": [1.0, 2.0, 3.0]})),
+    "vortex-lx-zero": (["simulate", "--config"], _with(VORTEX_2D, ("initial",), lx=0)),
+    "vortex-ly-infinite": (["simulate", "--config"],
+                           _with(VORTEX_2D, ("initial",), ly=float("inf"))),
 }
 
 
@@ -353,12 +368,15 @@ def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv, doc):
 
 
 def test_bad_input_prints_no_traceback(tmp_path):
-    argv, doc = BAD_INPUTS["linear-lax-violation"]
-    proc = subprocess.run([sys.executable, "-m", "smhd.cli", *_argv(tmp_path, argv, doc),
-                           "--out", str(tmp_path)], capture_output=True, text=True)
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("simulate: Froude window violated")
+    for name, message in [("linear-lax-violation", "simulate: Froude window violated"),
+                          ("pulse-center-number", "simulate: pulse center must be a pair"),
+                          ("vortex-lx-zero", "simulate: vortex lx and ly must be positive")]:
+        argv, doc = BAD_INPUTS[name]
+        proc = subprocess.run([sys.executable, "-m", "smhd.cli", *_argv(tmp_path, argv, doc),
+                               "--out", str(tmp_path)], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(message)
 
 
 @pytest.mark.parametrize("doc", [_with(RIEMANN_1D, cfll=0.3),
@@ -371,8 +389,37 @@ def test_simulate_unknown_key_exit_1(tmp_path, capsys, doc):
     assert not (tmp_path / "timeseries.csv").exists()
 
 
-def test_exit_code_table_matches_docs():
+@pytest.mark.parametrize("doc, key", [
+    (_with(LINEAR_RUN, ("shock",), b_2=3.0), "b_2"),
+    (_with(LINEAR_RUN, pulse={"widht": 0.3}), "widht"),
+    (_with(VORTEX_2D, ("initial",), amplitdue=0.1), "amplitdue"),
+    (_with(RIEMANN_1D, ("initial",), front_position=0.0), "front_position"),
+], ids=["linear-shock", "linear-pulse", "fv-vortex", "fv-riemann"])
+def test_simulate_unknown_nested_key_exit_1(tmp_path, capsys, doc, key):
+    assert main(["simulate", "--config", _write(tmp_path, "c.json", doc),
+                 "--out", str(tmp_path)]) == 1
+    assert f"key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "timeseries.csv").exists()
+
+
+def test_exit_code_table_matches_docs(capsys):
     text = (Path(__file__).parents[1] / "docs" / "schemas.md").read_text(encoding="utf-8")
     table = text.split("## Exit codes", 1)[1]
     documented = {int(code) for code in re.findall(r"^\|\s*(\d+)\s*\|", table, flags=re.M)}
     assert documented == {0, 1, 2, *EXIT_CODES.values()}
+    usage_code = int(re.search(r"usage\s+message and exits (\d)", table).group(1))
+    with pytest.raises(SystemExit) as exc:
+        main(["shock", "1"])
+    assert exc.value.code == usage_code == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["shock", "1"], 1),
+    (["stability", "nsc", "--g", "abc"], 1),
+    (["sweep"], 1),
+    (["shock", "--help"], 0),
+])
+def test_parser_exit_codes(capsys, argv, code):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code

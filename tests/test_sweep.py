@@ -6,12 +6,12 @@ import pytest
 
 from smhd.cli import main
 from smhd.core import PhysParams
-from smhd.errors import ConfigError
+from smhd.errors import ConfigError, SmhdError
 from smhd.ioutil import write_rows_csv
+from smhd.shock import lax_verdict, rectilinear_shock
 from smhd.sweep import (
     CODE_INVALID,
     SweepSpec,
-    evaluate_point,
     run_sweep,
     sweep_csv,
     sweep_svg,
@@ -22,6 +22,7 @@ from smhd.symmetrization import (
     cvs_nsc_kernel,
     cvs_nsc_verdict,
     cvs_sufficient_kernel,
+    cvs_sufficient_verdict,
 )
 
 
@@ -34,15 +35,42 @@ def _spec(verdict, x, y, fixed=None):
     })
 
 
+_NSC_CODES = {CvsStability.NSC_STABLE: 2, CvsStability.NSC_UNSTABLE: 0,
+              CvsStability.EXCEPTIONAL_POINT: 3}
+
+
+def _point(verdict, p):
+    """Code and margin of one grid point through the public scalar API."""
+    g = p.get("g", 1.0)
+    if verdict == "lax":
+        shock = rectilinear_shock(p.get("h_minus", 1.0), p["ratio"], p.get("b1_plus", 0.5),
+                                  p.get("b2", 0.0), PhysParams(g))
+        diag = lax_verdict(shock.side_pair())
+        return (2 if diag.satisfied else 0), abs(diag.height_jump)
+    plus, minus = symmetric_pair(p["v2_jump"], p["b2_plus"], p.get("h", 1.0))
+    if verdict == "cvs-sufficient":
+        result = cvs_sufficient_verdict(plus, minus, p.get("epsilon", 1e-6))
+        return (2 if result.tag is CvsStability.SUFFICIENTLY_STABLE else 1), result.margin
+    result = cvs_nsc_verdict(plus, minus, PhysParams(g))
+    return _NSC_CODES.get(result.tag, 1), result.margin
+
+
 def _pointwise(spec):
+    """The per-point reference of ``run_sweep``: -1 and margin 0 where the API raises."""
     xs, ys = spec.x_axis.values, spec.y_axis.values
     codes = np.empty((xs.size, ys.size), dtype=int)
     margins = np.empty((xs.size, ys.size))
-    for i, xv in enumerate(xs):
-        for j, yv in enumerate(ys):
-            codes[i, j], margins[i, j] = evaluate_point(spec, xv, yv)
+    for i, xv in enumerate(xs.tolist()):
+        for j, yv in enumerate(ys.tolist()):
+            p = {**spec.fixed, spec.x_axis.name: xv, spec.y_axis.name: yv}
+            try:
+                codes[i, j], margins[i, j] = _point(spec.verdict, p)
+            except (SmhdError, ArithmeticError):
+                codes[i, j], margins[i, j] = CODE_INVALID, 0.0
     return codes, margins
 
+
+_SEEDED = np.random.default_rng(6).uniform(0.1, 3.0, 3)
 
 # The v2_jump and |b2_plus| axes share their samples, so the grids hold
 # points exactly on a = b and a = 2b, besides h or g crossing 0.
@@ -66,6 +94,26 @@ GRIDS = [
      {"epsilon": 0.0}),
     ("cvs-nsc", ("v2_jump", 0.0, 5e-323, 11), ("b2_plus", -5e-323, 5e-323, 11),
      {"g": 1e-200, "h": 1e-200}),
+    # lax: configs/sweep_lax.json, then seeded b2 != 0 and g != 1.
+    ("lax", ("ratio", 0.2, 3.0, 60), ("b1_plus", 0.1, 2.0, 40),
+     {"h_minus": 1.0, "b2": 0.0, "g": 1.0}),
+    ("lax", ("ratio", 0.3, 4.1, 39), ("h_minus", 0.2, 3.7, 36),
+     {"b1_plus": _SEEDED[0], "b2": -_SEEDED[1], "g": _SEEDED[2]}),
+    # Ratios within classify's tolerance of 1 are not shocks.
+    ("lax", ("ratio", 1.0 - 1e-8, 1.0 + 1e-8, 201), ("b1_plus", 0.1, 2.0, 5), {}),
+    # ratio, h_minus, g and b1_plus crossing 0.
+    ("lax", ("ratio", -1.0, 3.0, 41), ("h_minus", -1.0, 2.0, 31), {}),
+    ("lax", ("ratio", 0.5, 2.0, 7), ("g", -1.0, 2.0, 31), {"b2": 0.3}),
+    ("lax", ("b1_plus", -1.0, 1.0, 21), ("ratio", 0.5, 2.0, 7), {}),
+    # Overflow of b1_plus**2, of h_mean**2 and of h**6, underflow of h_plus, and
+    # a non-finite fixed value.
+    ("lax", ("ratio", 0.5, 2.0, 5), ("b1_plus", 1.0, 1e200, 21), {}),
+    ("lax", ("h_minus", 1e-320, 1e300, 41), ("ratio", 0.5, 2.0, 7), {}),
+    ("lax", ("ratio", 1e-320, 1e300, 41), ("b1_plus", 0.1, 1.0, 3), {}),
+    ("lax", ("g", 1e-320, 1e300, 41), ("ratio", 0.5, 2.0, 7), {}),
+    ("lax", ("b1_plus", 1e-320, 1e300, 41), ("ratio", 0.5, 2.0, 7), {}),
+    ("lax", ("h_minus", 1e55, 1e62, 15), ("ratio", 0.5, 3.0, 6), {"g": 1e-57, "b1_plus": 1e-100}),
+    ("lax", ("ratio", 0.5, 2.0, 4), ("g", 0.5, 2.0, 3), {"b2": math.inf}),
 ]
 
 
