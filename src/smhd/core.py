@@ -24,6 +24,12 @@ whose componentwise expansion makes the x1-flux of h B1 and the x2-flux
 of h B2 vanish identically.  That mirrors the transport structure of the
 constraint div(h B) = 0, which is carried by the initial data rather
 than enforced by the equations.
+
+The flux (``axis_flux``) and the fast speed (``fast_speed``) each live
+here only; the pointwise API, the Lax verdict and its sweep kernel, and
+the simulator call them on floats or arrays.  Formulas shared by a
+scalar and an array path square by products, not ``**``: ``x**2`` of a
+float calls libm ``pow``, which can round unlike numpy's ``x*x``.
 """
 
 from __future__ import annotations
@@ -112,7 +118,7 @@ class FrontGeometry:
 
     @property
     def norm_sq(self) -> float:
-        return 1.0 + self.slope**2
+        return 1.0 + self.slope * self.slope
 
 
 @dataclass(frozen=True)
@@ -138,37 +144,42 @@ def primitive_from_conserved(q: np.ndarray) -> State:
     return State(h=q[0], v=q[1:3] / q[0], B=q[3:5] / q[0])
 
 
-def fluxes(u: State, params: PhysParams) -> tuple[np.ndarray, np.ndarray]:
-    """Physical fluxes (F1, F2) of the conservation-law form.
-
-    Componentwise, with q = (h, h v, h B) and w = h (B1 v2 - B2 v1):
+def axis_flux(q, v, b, g, axis: int, out=None):
+    """Physical flux along x1 (axis 0) or x2 (axis 1) of conserved fields
+    q = (h, h v1, h v2, h B1, h B2) with their velocity ``v`` and field ``b``
+    pairs (scalars or arrays).  With w = h (B1 v2 - B2 v1), rounded as
+    hB1 v2 - hB2 v1:
 
         F1 = (h v1, h v1^2 - h B1^2 + g h^2/2, h v1 v2 - h B1 B2, 0, -w)
         F2 = (h v2, h v1 v2 - h B1 B2, h v2^2 - h B2^2 + g h^2/2, w, 0)
 
-    The zero entries are the curl structure of the induction rows.
+    The zero entries are the curl structure of the induction rows; the
+    x2 flux never reads B1.  ``out``, if given, receives the flux.
     """
-    h = u.h
-    v1, v2 = u.v
-    b1, b2 = u.B
-    g = params.g
+    h = q[0]
+    v1, v2 = v
     pres = 0.5 * g * h * h
-    w = h * (b1 * v2 - b2 * v1)
-    f1 = np.array([
-        h * v1,
-        h * v1 * v1 - h * b1 * b1 + pres,
-        h * v1 * v2 - h * b1 * b2,
-        0.0,
-        -w,
-    ])
-    f2 = np.array([
-        h * v2,
-        h * v1 * v2 - h * b1 * b2,
-        h * v2 * v2 - h * b2 * b2 + pres,
-        w,
-        0.0,
-    ])
-    return f1, f2
+    w = q[3] * v2 - q[4] * v1
+    f = np.empty_like(q) if out is None else out
+    if axis == 0:
+        f[0] = q[1]
+        f[1] = q[1] * v1 - q[3] * b[0] + pres
+        f[2] = q[1] * v2 - q[3] * b[1]
+        f[3] = 0.0
+        f[4] = -w
+    else:
+        f[0] = q[2]
+        f[1] = q[1] * v2 - q[3] * b[1]
+        f[2] = q[2] * v2 - q[4] * b[1] + pres
+        f[3] = w
+        f[4] = 0.0
+    return f
+
+
+def fluxes(u: State, params: PhysParams) -> tuple[np.ndarray, np.ndarray]:
+    """Physical fluxes (F1, F2) of the conservation-law form at one state."""
+    q = conserved_from_primitive(u)
+    return axis_flux(q, u.v, u.B, params.g, 0), axis_flux(q, u.v, u.B, params.g, 1)
 
 
 def _primitive_height_matrices(u: State, g: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -248,6 +259,14 @@ def gravity_wave_speed(u: State, params: PhysParams) -> float:
     return float(np.sqrt(params.g * u.h))
 
 
+def fast_speed(bn, h, g, norm_sq=1.0):
+    """Fast magneto-gravity speed c_gN = sqrt(B_N^2 + g h |N|^2), scalars or arrays.
+
+    ``bn`` = B.N for a normal N that need not be unit, ``norm_sq`` = |N|^2.
+    """
+    return sqrt(bn * bn + g * h * norm_sq)
+
+
 def normal_speeds(u: State, params: PhysParams, normal: np.ndarray) -> np.ndarray:
     """Closed-form characteristic speeds in direction ``normal``.
 
@@ -255,12 +274,12 @@ def normal_speeds(u: State, params: PhysParams, normal: np.ndarray) -> np.ndarra
 
         v_n - c_g, v_n - |B_n|, v_n, v_n + |B_n|, v_n + c_g
 
-    with v_n = v.n, B_n = B.n and c_g = sqrt(B_n^2 + g h |n|^2).  The
-    array is ascending by construction since c_g >= |B_n|.
+    with v_n = v.n, B_n = B.n and c_g = ``fast_speed``.  The array is
+    ascending by construction since c_g >= |B_n|.
     """
     n = np.asarray(normal, dtype=float).reshape(2)
     vn = float(u.v @ n)
     bn = float(u.B @ n)
-    cg = np.sqrt(bn * bn + params.g * u.h * (n @ n))
+    cg = fast_speed(bn, u.h, params.g, float(n @ n))
     ba = abs(bn)
     return np.array([vn - cg, vn - ba, vn, vn + ba, vn + cg])

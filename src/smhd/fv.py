@@ -4,21 +4,22 @@ Godunov-type updates with HLL fluxes and Davis wave-speed bounds, in 1D
 and on a 2D slab that is periodic in x2.  The scheme is deliberately
 plain: no reconstruction, no divergence cleaning; div(h B) is recorded
 as a one-sided difference diagnostic so that constraint transport can
-be observed rather than enforced.  Heights are never clipped unless an
-explicit positivity floor is requested; otherwise a run aborts with
-PositivityLoss.
+be observed rather than enforced.  Heights are never clipped (a
+non-positive one raises PositivityLoss): with Davis bounds the HLL
+intermediate height stays positive (Einfeldt et al., JCP 92 (1991) 273).
 
 ``simulate_1d`` and ``simulate_2d`` run the same time loop
 (``_simulate``) over their active axes: the CFL rate, the flux-difference
 update and the boundary-flux conservation defect are sums over axes.
 Each step makes one pass per axis (``_AxisSweep.faces``): the state
 and its ghost cells are copied into a padded buffer allocated once per
-run, the physical flux and the extreme wave speeds are evaluated once
-per padded cell, and ``_hll_faces`` combines the ``[:-1]``/``[1:]``
-slices of those per-cell terms into preallocated face buffers.  The
-CFL step takes its maximum speed from the interior cells of the same
-speed arrays, so a pinned inflow ghost never sets dt.  A non-finite
-wave speed or conservation defect aborts the run with NonFiniteState.
+run, and ``_cell_terms`` evaluates the flux and the extreme wave speeds
+(``core.axis_flux``, ``core.fast_speed``) once per padded cell from one
+division by h.  ``_hll_faces`` combines the ``[:-1]``/``[1:]`` slices of
+those per-cell terms into preallocated face buffers.  The CFL step
+takes its maximum speed from the interior cells of the same speed
+arrays, so a pinned inflow ghost never sets dt.  A non-finite wave
+speed or conservation defect aborts the run with NonFiniteState.
 
 Each simulation owns its arrays; flux evaluation is vectorized over
 cells and reductions use numpy's pairwise summation, so results are
@@ -33,7 +34,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import PhysParams, State, conserved_from_primitive, fluxes, normal_speeds
+from .core import (PhysParams, State, axis_flux, conserved_from_primitive, fast_speed, fluxes,
+                   normal_speeds)
 from .errors import CflViolation, ConfigError, NonFiniteState, PositivityLoss
 from .ioutil import check_keys, config_kwargs, state_from_doc
 from .shock import RectilinearShock
@@ -65,37 +67,15 @@ def hll_flux(left: State, right: State, unit_normal, params: PhysParams) -> Arra
     return _hll_faces(q, f, lo, hi, 0, _FaceBuffers((1,)))[:, 0].copy()
 
 
-def _axis_flux(q: Array, g: float, axis: int) -> Array:
-    """Physical flux of conserved fields q = (h, hv1, hv2, hB1, hB2)."""
+def _cell_terms(q: Array, g: float, axis: int, prim: Array | None = None,
+                f: Array | None = None) -> tuple[Array, Array, Array]:
+    """Physical flux and extreme wave speeds (lo, hi) of every cell along ``axis``, from
+    one q / h; ``prim`` and ``f`` optionally receive v, B and the flux (run buffers)."""
     h = q[0]
-    v1 = q[1] / h
-    v2 = q[2] / h
-    b2 = q[4] / h
-    pres = 0.5 * g * h * h
-    w = q[3] * v2 - q[4] * v1  # h (B1 v2 - B2 v1)
-    f = np.empty_like(q)
-    if axis == 0:
-        b1 = q[3] / h
-        f[0] = q[1]
-        f[1] = q[1] * v1 - q[3] * b1 + pres
-        f[2] = q[1] * v2 - q[3] * b2
-        f[3] = 0.0
-        f[4] = -w
-    else:
-        f[0] = q[2]
-        f[1] = q[1] * v2 - q[3] * b2
-        f[2] = q[2] * v2 - q[4] * b2 + pres
-        f[3] = w
-        f[4] = 0.0
-    return f
-
-
-def _axis_extreme_speeds(q: Array, g: float, axis: int) -> tuple[Array, Array]:
-    h = q[0]
-    vn = q[1 + axis] / h
-    bn = q[3 + axis] / h
-    cg = np.sqrt(bn * bn + g * h)
-    return vn - cg, vn + cg
+    prim = np.divide(q[1:], h, out=prim)  # v1, v2, B1, B2
+    v, b = prim[:2], prim[2:]
+    cg = fast_speed(b[axis], h, g)
+    return axis_flux(q, v, b, g, axis, f), v[axis] - cg, v[axis] + cg
 
 
 def _index(ndim: int, axis: int, part: slice) -> tuple:
@@ -168,6 +148,8 @@ class _AxisSweep:
         padded = list(shape)
         padded[axis] += 2
         self.qg = np.empty((5, *padded))
+        self.prim = np.empty((4, *padded))
+        self.f = np.empty((5, *padded))
         self.interior = self.qg[_index(ndim, cell, slice(1, -1))]
         self.speed_interior = _index(ndim - 1, axis, slice(1, -1))
         ghosts = (slice(0, 1), slice(-1, None))
@@ -193,8 +175,7 @@ class _AxisSweep:
         np.copyto(self.interior, q)
         for ghost, src in self.copies:
             np.copyto(ghost, src)
-        f = _axis_flux(self.qg, self.g, self.axis)
-        lo, hi = _axis_extreme_speeds(self.qg, self.g, self.axis)
+        f, lo, hi = _cell_terms(self.qg, self.g, self.axis, self.prim, self.f)
         smax = float(max(np.max(np.abs(lo[self.speed_interior])),
                          np.max(np.abs(hi[self.speed_interior]))))
         return _hll_faces(self.qg, f, lo, hi, self.axis, self.buf), smax
@@ -222,7 +203,6 @@ class SimConfig:
     boundary_x1: tuple[str, str] = ("outflow", "outflow")
     boundary_x2: str = "periodic"
     dt_fixed: float | None = None
-    positivity_floor: float | None = None
 
     def __post_init__(self):
         if self.dimensions not in (1, 2):
@@ -253,13 +233,8 @@ class SimConfig:
             raise ConfigError("initial data descriptor must be a dict with a 'type'")
         if self.output_interval is None:
             self.output_interval = self.end_time / 50.0
-        self.output_interval, self.dt_fixed, self.positivity_floor = (
-            None if v is None else float(v)
-            for v in (self.output_interval, self.dt_fixed, self.positivity_floor))
-
-    @property
-    def params(self) -> PhysParams:
-        return PhysParams(g=self.g)
+        self.output_interval, self.dt_fixed = (
+            None if v is None else float(v) for v in (self.output_interval, self.dt_fixed))
 
     @staticmethod
     def from_dict(doc: dict) -> "SimConfig":
@@ -492,14 +467,9 @@ def _energy(q: Array, g: float, cell_volume: float) -> float:
     return float(np.sum(kin + mag + pot)) * cell_volume
 
 
-def _check_positive(q: Array, t: float, floor: float | None) -> Array:
-    hmin = float(np.min(q[0]))
-    if hmin > 0.0:
-        return q
-    if floor is not None:
-        q[0] = np.maximum(q[0], floor)
-        return q
-    raise PositivityLoss(t)
+def _check_positive(q: Array, t: float) -> None:
+    if not float(np.min(q[0])) > 0.0:
+        raise PositivityLoss(t)
 
 
 def _check_finite(value: float, t: float, what: str) -> None:
@@ -598,7 +568,7 @@ def _simulate(cfg: SimConfig, source: Callable[..., Array] | None = None,
                             max(1.0, float(volume(np.max(np.abs(before))))))
         _check_finite(step_defect, t + dt, "conservation defect")
         max_defect = max(max_defect, step_defect)
-        q = _check_positive(q, t + dt, cfg.positivity_floor)
+        _check_positive(q, t + dt)
         t += dt
         steps += 1
         record(final=t >= cfg.end_time - 1e-14)

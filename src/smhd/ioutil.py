@@ -31,6 +31,7 @@ def state_to_doc(u: State) -> dict:
 
 
 def state_from_doc(doc: dict) -> State:
+    check_keys(doc, ("h", "v", "B"), "state key")
     try:
         return State(h=doc["h"], v=doc["v"], B=doc["B"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -47,11 +48,13 @@ def side_pair_to_doc(sp: SidePair) -> dict:
 
 
 def side_pair_from_doc(doc: dict) -> SidePair:
+    check_keys(doc, ("plus", "minus", "front", "g"), "side-pair key")
+    front = check_keys(doc.get("front", {}), ("slope", "speed"), "front key")
     try:
         return SidePair(
             plus=state_from_doc(doc["plus"]),
             minus=state_from_doc(doc["minus"]),
-            front=FrontGeometry(**doc.get("front", {})),
+            front=FrontGeometry(**front),
             params=PhysParams(g=doc.get("g", 1.0)),
         )
     except (KeyError, TypeError, ValueError) as exc:

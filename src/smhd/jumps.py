@@ -151,7 +151,7 @@ def residual_scale(tq: TraceQuantities, g: float) -> float:
     Scalars or arrays; like ``max()``, keeps the earlier value on a tie or a NaN.
     """
     scale = 1.0
-    for value in (abs(tq.m_plus), abs(tq.b_plus), g * tq.h_mean**2):
+    for value in (abs(tq.m_plus), abs(tq.b_plus), g * (tq.h_mean * tq.h_mean)):
         scale = where(value > scale, value, scale)
     return scale
 

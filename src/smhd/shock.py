@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrontGeometry, PhysParams, State, normal_speeds, sqrt
+from .core import FrontGeometry, PhysParams, State, fast_speed, normal_speeds, sqrt
 from .errors import DegenerateHeight, InvalidParameter, InvalidRatio, LaxViolation, NotAShock
 from .jumps import (
     DEFAULT_TOL,
@@ -91,7 +91,8 @@ def det_boundary_matrix_closed_form(u: State, front: FrontGeometry, params: Phys
         det = (g / h^6) m (m^2 - b^2) (m^2 - b^2 - g |N|^2 h^3),
 
     vanishing exactly on characteristic fronts (m = 0, Alfven m^2 = b^2,
-    or the gravity-wave factor).
+    or the gravity-wave factor).  Raises InvalidParameter when h^6
+    overflows.
     """
     s = front.slope
     vn, _ = normal_tangential(u.v, s)
@@ -100,7 +101,11 @@ def det_boundary_matrix_closed_form(u: State, front: FrontGeometry, params: Phys
     b = u.h * bn
     g = params.g
     d = m * m - b * b
-    return (g / u.h**6) * m * d * (d - g * front.norm_sq * u.h**3)
+    try:
+        h6 = u.h**6
+    except OverflowError:
+        raise InvalidParameter(f"h^6 overflows in the boundary determinant, h = {u.h}") from None
+    return (g / h6) * m * d * (d - g * front.norm_sq * u.h**3)
 
 
 def _reflect_state(u: State) -> State:
@@ -163,8 +168,8 @@ def lax_kernel(tq: TraceQuantities, h_plus, h_minus, g, speed):
     """The extreme 1-shock inequalities of the module docstring on canonically
     oriented trace quantities, scalars or arrays; returns (satisfied, cg_plus, cg_minus).
     """
-    cg_plus = sqrt(tq.bn_plus**2 + g * h_plus * tq.norm_sq)
-    cg_minus = sqrt(tq.bn_minus**2 + g * h_minus * tq.norm_sq)
+    cg_plus = fast_speed(tq.bn_plus, h_plus, g, tq.norm_sq)
+    cg_minus = fast_speed(tq.bn_minus, h_minus, g, tq.norm_sq)
     rel_plus = tq.vn_plus - speed
     satisfied = (tq.vn_minus - speed > cg_minus) & (tq.bn_plus < rel_plus) & (rel_plus < cg_plus)
     return satisfied, cg_plus, cg_minus
@@ -283,7 +288,7 @@ def rectilinear_shock(
 
 def rectilinear_family(h_minus, ratio, b1_plus, b2, g) -> RectilinearShock:
     """``rectilinear_shock`` without its checks, on scalars or equal-shape arrays."""
-    v1_plus = sqrt(b1_plus**2 + 0.5 * g * h_minus * (1.0 + 1.0 / ratio))
+    v1_plus = sqrt(b1_plus * b1_plus + 0.5 * g * h_minus * (1.0 + 1.0 / ratio))
     return RectilinearShock(h_minus, ratio * h_minus, ratio * v1_plus, v1_plus,
                             ratio * b1_plus, b1_plus, b2, g)
 

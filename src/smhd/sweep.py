@@ -152,9 +152,9 @@ def _lax(p: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     invalid = (~((g > 0.0) & np.isfinite(g))
                | ~(b1_plus > 0.0)
                | ~np.all(heights > 0.0, axis=0)
-               # State's finiteness check; b1_plus**2 overflowing makes v1 infinite
+               # State's finiteness check; b1_plus * b1_plus overflowing makes v1 infinite
                | ~np.all(np.isfinite([*heights, *plus.v, *plus.B, *minus.v, *minus.B]), axis=0)
-               # not a shock; h_mean**2 overflowing makes classify's band infinite
+               # not a shock; h_mean * h_mean overflowing makes classify's band infinite
                | (kind_code(plus, minus, front, g) != KIND_SHOCK)
                # h**6 overflows in lax_verdict's boundary determinants
                | np.any(np.isinf(heights**6), axis=0))

@@ -265,7 +265,7 @@ def test_simulate_cfl_violation_exit_4(tmp_path, capsys):
 
 def test_simulate_non_finite_state_exit_5(tmp_path, capsys):
     cfg = {"kind": "fv", "dimensions": 1, "cells": [32], "extents": [[0, 1]],
-           "end_time": 1.0, "positivity_floor": 1e-10,
+           "end_time": 1.0,
            "initial": {"type": "uniform",
                        "state": {"h": 1.0, "v": [1e155, 0.0], "B": [0.0, 0.0]}}}
     with np.errstate(over="ignore", invalid="ignore"):
@@ -327,8 +327,13 @@ BAD_INPUTS = {
     "nsc-g-zero": (["stability", "nsc", "--g", "0"], None),
     "nsc-infinite-jump": (["stability", "nsc", "--v2-jump", "inf"], None),
     "shock-g-zero": (["shock", "1", "2", "0.5", "0", "--g", "0"], None),
+    "shock-b1-overflow": (["shock", "1", "2", "1e200", "0"], None),
+    "shock-h6-overflow": (["shock", "3.3e61", "3", "3.4e-109", "0", "--g", "1.27e-57"], None),
     "classify-g-zero": (["classify", "--input"], _with(RATIONAL_PAIR, g=0)),
     "classify-slope-text": (["classify", "--input"], _with(RATIONAL_PAIR, ("front",), slope="x")),
+    "classify-unknown-pair-key": (["classify", "--input"], _with(RATIONAL_PAIR, gg=5.0)),
+    "classify-unknown-state-key": (["classify", "--input"],
+                                   _with(RATIONAL_PAIR, ("plus",), B2=0.0)),
     "linear-lax-violation": (["simulate", "--config"], _with(LINEAR_RUN, ("shock",), ratio=0.5)),
     "linear-negative-b1": (["simulate", "--config"], _with(LINEAR_RUN, ("shock",), b1_plus=-1)),
     "linear-g-zero": (["simulate", "--config"], _with(LINEAR_RUN, ("shock",), g=0)),
@@ -380,8 +385,9 @@ def test_bad_input_prints_no_traceback(tmp_path):
 
 
 @pytest.mark.parametrize("doc", [_with(RIEMANN_1D, cfll=0.3),
-                                 _with(LINEAR_RUN, pulsee={})],
-                         ids=["fv", "linear"])
+                                 _with(LINEAR_RUN, pulsee={}),
+                                 _with(RIEMANN_1D, positivity_floor=1e-10)],
+                         ids=["fv", "linear", "fv-positivity-floor"])
 def test_simulate_unknown_key_exit_1(tmp_path, capsys, doc):
     assert main(["simulate", "--config", _write(tmp_path, "c.json", doc),
                  "--out", str(tmp_path)]) == 1

@@ -9,8 +9,7 @@ from smhd.fv import (
     SimConfig,
     _AxisSweep,
     _FaceBuffers,
-    _axis_extreme_speeds,
-    _axis_flux,
+    _cell_terms,
     _check_positive,
     _hll_faces,
     divergence_residual,
@@ -71,10 +70,8 @@ def test_hll_reflected_pair_symmetry():
 
 def _two_sided_faces(ql, qr, g, axis):
     """Reference HLL faces: flux and speeds evaluated from each face's two states."""
-    fl = _axis_flux(ql, g, axis)
-    fr = _axis_flux(qr, g, axis)
-    lo_l, hi_l = _axis_extreme_speeds(ql, g, axis)
-    lo_r, hi_r = _axis_extreme_speeds(qr, g, axis)
+    fl, lo_l, hi_l = _cell_terms(ql, g, axis)
+    fr, lo_r, hi_r = _cell_terms(qr, g, axis)
     s_left = np.minimum(lo_l, lo_r)
     s_right = np.maximum(hi_l, hi_r)
     denom = s_right - s_left
@@ -112,8 +109,8 @@ def test_hll_faces_bit_identical_to_two_sided_formula(rng, axis, regime, vn_rang
     q = _random_cells(rng, shape, axis, vn_range)
     face_shape = list(shape)
     face_shape[axis] -= 1
-    lo, hi = _axis_extreme_speeds(q, g, axis)
-    got = _hll_faces(q, _axis_flux(q, g, axis), lo, hi, axis, _FaceBuffers(tuple(face_shape)))
+    f, lo, hi = _cell_terms(q, g, axis)
+    got = _hll_faces(q, f, lo, hi, axis, _FaceBuffers(tuple(face_shape)))
     ql, qr = _faces_of(q, axis)
     assert np.array_equal(got, _two_sided_faces(ql, qr, g, axis))
     s_left = np.minimum(*_faces_of(lo[None], axis))
@@ -143,7 +140,7 @@ def test_axis_sweep_ghosts_and_interior_speed(rng, sides):
         lo_ghost = np.repeat(pinned[:, None, None], q.shape[2], axis=2)
     padded = np.concatenate([lo_ghost, q, hi_ghost], axis=1)
     assert np.array_equal(faces, _two_sided_faces(padded[:, :-1], padded[:, 1:], g, 0))
-    lo, hi = _axis_extreme_speeds(q, g, 0)
+    _, lo, hi = _cell_terms(q, g, 0)
     assert smax == max(np.max(np.abs(lo)), np.max(np.abs(hi)))
 
 
@@ -322,20 +319,58 @@ def test_perturbed_shock_amplitude_guard():
         perturbed_shock_experiment(shock, 0.2, 1, cfg)
 
 
+def _near_dry_1d(minus, plus, cfl):
+    cfg = SimConfig(dimensions=1, cells=(200,), extents=((-1.0, 1.0),), end_time=0.3, cfl=cfl,
+                    initial={"type": "riemann", "minus": minus, "plus": plus, "interface": 0.0})
+    return simulate_1d(cfg)
+
+
+def _near_dry_2d(h, v, hb, cfl, end_time):
+    """A 64x64 doubly periodic run from conserved fields built from h, v and hB."""
+    cfg = SimConfig(dimensions=2, cells=h.shape, extents=((-1.0, 1.0), (-1.0, 1.0)),
+                    end_time=end_time, cfl=cfl, boundary_x1="periodic",
+                    initial={"type": "vortex"})
+    return simulate_2d(cfg, q0=np.stack([h, h * v[0], h * v[1], *hb]))
+
+
+@pytest.mark.parametrize("cfl", [0.45, 0.9])
+def test_near_dry_runs_stay_positive(cfl):
+    # HLL with Davis bounds keeps h > 0 without any floor.  1D: dam breaks into
+    # h = 1e-8 and 1e-12 with hB1 constant (the 1D constraint), and a double
+    # rarefaction with |v| = 20 and B1 = 1e-6.
+    runs = [_near_dry_1d({"h": 1.0, "v": [0.0, 0.0], "B": [0.1 * dry, 0.3]},
+                         {"h": dry, "v": [0.0, 0.0], "B": [0.1, 0.0]}, cfl)
+            for dry in (1e-8, 1e-12)]
+    rarefaction = _near_dry_1d({"h": 1.0, "v": [-20.0, 0.0], "B": [1e-6, 0.2]},
+                               {"h": 1.0, "v": [20.0, 0.0], "B": [1e-6, -0.2]}, cfl)
+    assert rarefaction.h_min.min() < 1e-6
+    # 2D: a magnetized disk dam break into h = 1e-8, and a radial rarefaction with |v| = 20.
+    x = -1.0 + 2.0 * (np.arange(64) + 0.5) / 64
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    r = np.hypot(xx, yy)
+    disk = np.where(r < 0.5, 1.0, 1e-8)
+    radial = 20.0 * np.minimum(r / 0.5, 1.0) / r
+    ones = np.ones_like(r)
+    runs += [rarefaction,
+             _near_dry_2d(disk, np.zeros((2, *r.shape)), (0.1 * disk, 0.05 * disk), cfl, 0.2),
+             _near_dry_2d(ones, (radial * xx, radial * yy), (0.1 * ones, 0.0 * ones), cfl, 0.25)]
+    assert runs[-1].h_min.min() < 0.01
+    for res in runs:
+        assert np.all(np.isfinite(res.snapshot))
+        assert res.h_min.min() > 0.0 and np.min(res.snapshot[0]) > 0.0
+
+
 def test_positivity_guard():
     q = np.ones((5, 4))
     q[0, 2] = -0.1
     with pytest.raises(PositivityLoss):
-        _check_positive(q.copy(), 1.0, None)
-    clipped = _check_positive(q.copy(), 1.0, 1e-10)
-    assert clipped[0, 2] == 1e-10
+        _check_positive(q, 1.0)
 
 
 def test_non_finite_state_raises_1d():
     # The momentum flux overflows, so the first update leaves NaN momentum
     # behind while every height stays positive.
     cfg = SimConfig(dimensions=1, cells=(32,), extents=((0.0, 1.0),), end_time=1.0,
-                    positivity_floor=1e-10,
                     initial={"type": "uniform",
                              "state": {"h": 1.0, "v": [1e155, 0.0], "B": [0.0, 0.0]}})
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState):
@@ -344,7 +379,7 @@ def test_non_finite_state_raises_1d():
 
 def test_non_finite_state_raises_2d():
     cfg = SimConfig(dimensions=2, cells=(16, 8), extents=((0.0, 1.0), (0.0, 1.0)),
-                    end_time=0.2, boundary_x1="periodic", positivity_floor=1e-10,
+                    end_time=0.2, boundary_x1="periodic",
                     initial={"type": "vortex"})
     q0 = np.ones((5, 16, 8))
     q0[1, 5, 3] = np.nan

@@ -1,18 +1,31 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from smhd.core import FrontGeometry, PhysParams, State, boundary_matrix
+from smhd.core import FrontGeometry, PhysParams, State, boundary_matrix, fast_speed
 from smhd.errors import DegenerateHeight, InvalidRatio, LaxViolation, NotAShock
-from smhd.jumps import DiscontinuityType, SidePair, classify, rh_residual
+from smhd.jumps import (
+    DiscontinuityType,
+    GridSide,
+    SidePair,
+    classify,
+    residual_scale,
+    rh_residual,
+    side_traces,
+    trace_quantities,
+)
 from smhd.shock import (
     characteristic_speeds,
     det_boundary_matrix_closed_form,
     hugoniot_downstream,
     k2_shock_possible,
+    lax_kernel,
     lax_verdict,
     linearized_setup,
+    rectilinear_family,
     rectilinear_shock,
 )
 
@@ -191,6 +204,47 @@ def test_rectilinear_rational_case():
 def test_rectilinear_invalid_ratio():
     with pytest.raises(InvalidRatio):
         rectilinear_shock(1.0, 1.0, 0.5, 0.0, PhysParams(1.0))
+
+
+def _one_element(u: State) -> GridSide:
+    return GridSide(np.array([u.h]), u.v[:, None], u.B[:, None])
+
+
+def _differs(scalar, array) -> bool:
+    """Whether a one-element array result is not bit-equal to the scalar result."""
+    return not (isinstance(scalar, (bool, float)) and np.shape(array) == (1,)
+                and array[0] == scalar)
+
+
+def test_shared_formulas_bit_equal_on_scalars_and_arrays(rng):
+    # (h-, ratio, B1+, B2, g); on the first shock, b1_plus**2 through libm pow
+    # gave v1+ = 1.8179066218755935 on floats and ...933 on arrays.
+    family = [(1.2150208003089658, 4.806664192903473, 1.6033979214195082, 0.0, 1.0)]
+    family += [(rng.uniform(0.1, 5.0), rng.uniform(1.01, 6.0), rng.uniform(0.05, 3.0),
+                rng.uniform(-2.0, 2.0), rng.uniform(0.2, 3.0)) for _ in range(3000)]
+    pairs = [rectilinear_shock(*x[:4], PhysParams(x[4])).side_pair() for x in family[:500]]
+    pairs += [_random_hugoniot(rng, PhysParams(rng.uniform(0.2, 3.0))) for _ in range(1000)]
+    differ = Counter()
+    for x in family:
+        scalar, array = rectilinear_family(*x), rectilinear_family(*map(np.atleast_1d, x))
+        for f in dataclasses.fields(scalar):
+            differ[f"rectilinear_family.{f.name}"] += _differs(getattr(scalar, f.name),
+                                                               getattr(array, f.name))
+    for sp in pairs:
+        g, speed = sp.params.g, sp.front.speed
+        hs = (sp.plus.h, sp.minus.h)
+        tq = trace_quantities(sp)
+        tq_array = side_traces(_one_element(sp.plus), _one_element(sp.minus), sp.front)
+        for name, s_value, a_value in zip(
+                ("satisfied", "cg_plus", "cg_minus"), lax_kernel(tq, *hs, g, speed),
+                lax_kernel(tq_array, *map(np.atleast_1d, hs), g, speed)):
+            differ[f"lax_kernel.{name}"] += _differs(s_value, a_value)
+        differ["residual_scale"] += _differs(residual_scale(tq, g), residual_scale(tq_array, g))
+        for bn, h in ((tq.bn_plus, sp.plus.h), (tq.bn_minus, sp.minus.h)):
+            args = (bn, h, g, tq.norm_sq)
+            array_args = map(np.atleast_1d, args)
+            differ["fast_speed"] += _differs(fast_speed(*args), fast_speed(*array_args))
+    assert not +differ, dict(differ)
 
 
 def test_rectilinear_lax_iff_compressive(rng):
