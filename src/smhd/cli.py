@@ -12,6 +12,7 @@ code ``EXIT_CODES`` gives its type.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -21,20 +22,13 @@ from . import __version__
 from .core import PhysParams
 from .errors import CflViolation, ConfigError, NonFiniteState, PositivityLoss, SmhdError
 from .fv import SimConfig, simulate_1d, simulate_2d
-from .ioutil import (
-    dump_json,
-    load_json,
-    side_pair_from_doc,
-    side_pair_to_doc,
-    write_snapshot_csv,
-    write_timeseries_csv,
-    write_rows_csv,
-)
-from .jumps import DiscontinuityType, classify, rh_residual, trace_quantities
+from .ioutil import dump_json, load_json, side_pair_from_doc, side_pair_to_doc, write_rows_csv
+from .jumps import DEFAULT_TOL, DiscontinuityType, classify, rh_residual, trace_quantities
 from .linear import LinearConfig, linear_halfplane_simulate
 from .shock import lax_verdict, linearized_setup, rectilinear_shock
 from .sweep import SweepSpec, run_sweep, sweep_csv, sweep_svg, symmetric_pair
-from .symmetrization import cvs_nsc_verdict, cvs_sufficient_verdict, lambda_for_cvs
+from .symmetrization import (DEFAULT_EPSILON, cvs_nsc_verdict, cvs_sufficient_verdict,
+                             lambda_for_cvs)
 
 # Exit code of an SmhdError escaping a subcommand, by its exact type; any
 # other SmhdError exits 1.  Codes 0 and 2 come from the subcommands' results.
@@ -60,15 +54,7 @@ def cmd_classify(args) -> int:
         "note": kind.note,
         "residual_max": res.max_abs,
         "residual_scale": res.scale,
-        "traces": {
-            "m_plus": tq.m_plus, "m_minus": tq.m_minus,
-            "b_plus": tq.b_plus, "b_minus": tq.b_minus,
-            "vn_plus": tq.vn_plus, "vn_minus": tq.vn_minus,
-            "vtau_plus": tq.vtau_plus, "vtau_minus": tq.vtau_minus,
-            "bn_plus": tq.bn_plus, "bn_minus": tq.bn_minus,
-            "btau_plus": tq.btau_plus, "btau_minus": tq.btau_minus,
-            "h_mean": tq.h_mean, "norm_sq": tq.norm_sq,
-        },
+        "traces": dataclasses.asdict(tq),
     }
     if kind.kind is DiscontinuityType.SHOCK:
         diag = lax_verdict(sp, tol=args.tol)
@@ -112,12 +98,7 @@ def cmd_shock(args) -> int:
     pair = shock.side_pair()
     diag = lax_verdict(pair)
     doc = {
-        "shock": {
-            "h_minus": shock.h_minus, "h_plus": shock.h_plus,
-            "v1_minus": shock.v1_minus, "v1_plus": shock.v1_plus,
-            "b1_minus": shock.b1_minus, "b1_plus": shock.b1_plus,
-            "b2": shock.b2, "g": shock.g,
-        },
+        "shock": dataclasses.asdict(shock),
         "pair": side_pair_to_doc(pair),
         "diagnostics": {
             "eigenvalues_plus": list(diag.eigenvalues_plus),
@@ -133,12 +114,7 @@ def cmd_shock(args) -> int:
     }
     code = 0
     if diag.satisfied:
-        setup = linearized_setup(shock, params)
-        doc["linearized"] = {
-            "froude": setup.froude, "m1": setup.m1, "m2": setup.m2,
-            "m_star": setup.m_star, "ratio": setup.ratio, "beta": setup.beta,
-            "d0": setup.d0, "ell0": setup.ell0, "a0": setup.a0,
-        }
+        doc["linearized"] = dataclasses.asdict(linearized_setup(shock, params))
     else:
         doc["warning"] = "Lax violated: [h]<=0; linearized setup unavailable"
         print("warning: Lax violated: [h]<=0", file=sys.stderr)
@@ -155,12 +131,8 @@ def cmd_stability(args) -> int:
         sp = side_pair_from_doc(load_json(args.input))
         choice = lambda_for_cvs(sp.plus, sp.minus)
         verdict = cvs_sufficient_verdict(sp.plus, sp.minus, args.epsilon)
-        doc = {
-            "lambda_plus": choice.lambda_plus, "lambda_minus": choice.lambda_minus,
-            "hyperbolic_plus": choice.hyperbolic_plus,
-            "hyperbolic_minus": choice.hyperbolic_minus,
-            "verdict": verdict.tag.value, "margin": verdict.margin,
-        }
+        doc = {**dataclasses.asdict(choice), "verdict": verdict.tag.value,
+               "margin": verdict.margin}
     else:
         plus, minus = symmetric_pair(args.v2_jump, args.b2_plus, args.h)
         verdict = cvs_nsc_verdict(plus, minus, PhysParams(g=args.g), tol=args.tol)
@@ -198,8 +170,9 @@ def cmd_simulate(args) -> int:
     if kind == "linear":
         setup, lcfg = LinearConfig.from_dict(doc)
         res = linear_halfplane_simulate(setup, lcfg)
-        rows = zip(res.times, res.l2_u, res.h1_u, res.trace_norm, res.front_norm, res.energy)
-        write_rows_csv("t,l2U,h1U,traceNorm,frontNorm,energy", rows, out / "timeseries.csv")
+        write_rows_csv("t,l2U,h1U,traceNorm,frontNorm,energy",
+                       (res.times, res.l2_u, res.h1_u, res.trace_norm, res.front_norm, res.energy),
+                       out / "timeseries.csv")
         print(f"linear run: {res.steps} steps, dt={res.dt:.6g}")
         print(f"norm ratio max_t ||U||/||U(0)|| = {res.norm_ratio_max:.4f}")
         print(f"wrote {out / 'timeseries.csv'}")
@@ -208,8 +181,13 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"unknown config kind {kind!r}")
     cfg = SimConfig.from_dict(doc)
     res = simulate_1d(cfg) if cfg.dimensions == 1 else simulate_2d(cfg)
-    write_timeseries_csv(res, out / "timeseries.csv")
-    write_snapshot_csv(res, out / "snapshot.csv")
+    write_rows_csv("t,mass,momX,momY,fluxBx,fluxBy,divNorm,frontAmp,energy",
+                   (res.times, *res.conserved.T, res.div_norm, res.front_amplitude, res.energy),
+                   out / "timeseries.csv")
+    axes = "xy"[:cfg.dimensions]
+    coords = np.meshgrid(*(res.grid[a] for a in axes), indexing="ij")
+    write_rows_csv(",".join([*axes, "h,momX,momY,fluxBx,fluxBy"]),
+                   [c.ravel() for c in (*coords, *res.snapshot)], out / "snapshot.csv")
     print(f"run: {res.steps} steps on {cfg.cells} cells")
     fp = res.front_position
     if np.any(np.isfinite(fp)):
@@ -242,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify a two-sided state from JSON")
     p.add_argument("--input", required=False, default="", help="side-pair JSON file")
-    p.add_argument("--tol", type=float, default=1e-9, help="relative zero tolerance")
-    p.add_argument("--epsilon", type=float, default=1e-6,
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="relative zero tolerance")
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
                    help="margin for the sheet stability condition")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None, help="directory for classify.json")
@@ -261,12 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stability", help="current-vortex-sheet stability verdicts")
     p.add_argument("mode", choices=("cvs", "nsc"))
     p.add_argument("--input", default="", help="side-pair JSON (cvs mode)")
-    p.add_argument("--epsilon", type=float, default=1e-6)
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--v2-jump", dest="v2_jump", type=float, default=0.0)
     p.add_argument("--b2-plus", dest="b2_plus", type=float, default=1.0)
     p.add_argument("--h", type=float, default=1.0)
     p.add_argument("--g", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_stability)
 

@@ -37,7 +37,7 @@ import numpy as np
 from .core import (PhysParams, State, axis_flux, conserved_from_primitive, fast_speed, fluxes,
                    normal_speeds)
 from .errors import CflViolation, ConfigError, NonFiniteState, PositivityLoss
-from .ioutil import check_keys, config_kwargs, state_from_doc
+from .ioutil import check_float, check_keys, check_run_fields, config_kwargs, state_from_doc
 from .shock import RectilinearShock
 
 Array = np.ndarray
@@ -207,16 +207,7 @@ class SimConfig:
     def __post_init__(self):
         if self.dimensions not in (1, 2):
             raise ConfigError(f"dimensions must be 1 or 2, got {self.dimensions}")
-        self.cells = tuple(int(n) for n in np.atleast_1d(self.cells))
-        if len(self.cells) != self.dimensions or any(n < 8 for n in self.cells):
-            raise ConfigError(f"need >= 8 cells per dimension, got {self.cells}")
-        self.extents = tuple((float(a), float(b)) for a, b in np.atleast_2d(self.extents))
-        if len(self.extents) != self.dimensions or any(b <= a for a, b in self.extents):
-            raise ConfigError(f"bad extents {self.extents}")
-        if not self.end_time > 0.0:
-            raise ConfigError(f"end_time must be positive, got {self.end_time}")
-        if not 0.0 < self.cfl < 1.0:
-            raise CflViolation(f"cfl must lie in (0, 1), got {self.cfl}")
+        check_run_fields(self, self.dimensions)
         if not self.g > 0.0:
             raise ConfigError(f"g must be positive, got {self.g}")
         if isinstance(self.boundary_x1, str):
@@ -231,10 +222,8 @@ class SimConfig:
             raise ConfigError(f"unknown x2 boundary {self.boundary_x2!r}")
         if not isinstance(self.initial, dict) or "type" not in self.initial:
             raise ConfigError("initial data descriptor must be a dict with a 'type'")
-        if self.output_interval is None:
-            self.output_interval = self.end_time / 50.0
-        self.output_interval, self.dt_fixed = (
-            None if v is None else float(v) for v in (self.output_interval, self.dt_fixed))
+        if self.dt_fixed is not None:
+            self.dt_fixed = check_float(self.dt_fixed, "dt_fixed")
 
     @staticmethod
     def from_dict(doc: dict) -> "SimConfig":
@@ -437,11 +426,6 @@ class SimResult:
     snapshot: Array
     grid: dict
     steps: int
-
-    def csv_rows(self):
-        for i, t in enumerate(self.times):
-            yield (t, *self.conserved[i], self.div_norm[i],
-                   self.front_amplitude[i], self.energy[i])
 
 
 class _Recorder:

@@ -31,8 +31,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .core import PhysParams
-from .errors import CflViolation, ConfigError, ConstraintViolation, LaxViolation
-from .ioutil import check_keys, config_kwargs
+from .errors import ConfigError, ConstraintViolation, LaxViolation
+from .ioutil import check_float, check_keys, check_run_fields, config_kwargs
 from .shock import LinearizedShockSetup, linearized_setup, rectilinear_shock
 
 Array = np.ndarray
@@ -103,20 +103,11 @@ class LinearConfig:
     wave_check_time: float | None = None
 
     def __post_init__(self):
-        self.cells = tuple(int(n) for n in self.cells)
-        if len(self.cells) != 2 or any(n < 8 for n in self.cells):
-            raise ConfigError(f"need a 2D grid with >= 8 cells per dimension, got {self.cells}")
-        self.extents = tuple((float(a), float(b)) for a, b in self.extents)
-        if len(self.extents) != 2:
-            raise ConfigError(f"need two extents, got {self.extents}")
+        check_run_fields(self, 2)
         if self.extents[0][0] != 0.0:
             raise ConfigError("the half-plane domain must start at x1 = 0")
-        if not self.end_time > 0.0:
-            raise ConfigError("end_time must be positive")
-        if not 0.0 < self.cfl < 1.0:
-            raise CflViolation(f"cfl must lie in (0, 1), got {self.cfl}")
-        if self.output_interval is None:
-            self.output_interval = self.end_time / 50.0
+        if self.wave_check_time is not None:
+            self.wave_check_time = check_float(self.wave_check_time, "wave_check_time", -math.inf)
         check_keys(self.pulse, _PULSE_KEYS, "pulse key")
 
     @staticmethod
@@ -337,14 +328,9 @@ def linear_halfplane_simulate(
 
     if rows[-1][0] < t:
         record(t)
-    arr = np.array(rows)
+    # each recorded row holds the norm series of LinearResult in field order
     return LinearResult(
-        times=arr[:, 0],
-        l2_u=arr[:, 1],
-        h1_u=arr[:, 2],
-        trace_norm=arr[:, 3],
-        front_norm=arr[:, 4],
-        energy=arr[:, 5],
+        *np.array(rows).T,
         u_final=u,
         phi_final=phi,
         p_triple=np.array(p_triple) if len(p_triple) == 3 else None,

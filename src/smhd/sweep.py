@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import FrontGeometry, State
 from .errors import ConfigError
-from .ioutil import check_keys, fmt
+from .ioutil import check_keys, fmt, write_rows_csv
 from .jumps import KIND_SHOCK, kind_code, side_traces
 from .shock import lax_kernel, rectilinear_family
 from .symmetrization import (
@@ -33,6 +33,7 @@ from .symmetrization import (
     CODE_INCONCLUSIVE,
     CODE_STABLE,
     CODE_UNSTABLE,
+    DEFAULT_EPSILON,
     cvs_nsc_kernel,
     cvs_sufficient_kernel,
     nsc_curves,
@@ -55,7 +56,8 @@ _NSC_CURVE_NAMES = ("a=b", "a=sqrt(b2+G)-b", "a=sqrt(b2+G)", "a=b*sqrt((b2+2G)/(
 # (None: the sweep must set it).
 _PARAMETERS = {
     "lax": {"ratio": None, "b1_plus": 0.5, "h_minus": 1.0, "b2": 0.0, "g": 1.0},
-    "cvs-sufficient": {"v2_jump": None, "b2_plus": None, "h": 1.0, "g": 1.0, "epsilon": 1e-6},
+    "cvs-sufficient": {"v2_jump": None, "b2_plus": None, "h": 1.0, "g": 1.0,
+                       "epsilon": DEFAULT_EPSILON},
     "cvs-nsc": {"v2_jump": None, "b2_plus": None, "h": 1.0, "g": 1.0},
 }
 
@@ -195,13 +197,10 @@ def run_sweep(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sweep_csv(spec: SweepSpec, codes: np.ndarray, margins: np.ndarray, path: str | Path) -> None:
-    """One row per grid point, x-major, in the 17-digit format of ``ioutil.fmt``."""
-    lines = [f"{spec.x_axis.name},{spec.y_axis.name},code,margin"]
-    ys = spec.y_axis.values.tolist()
-    for xv, code_row, margin_row in zip(spec.x_axis.values.tolist(), codes, margins):
-        lines.extend("%.17g,%.17g,%d,%.17g" % (xv, yv, code, margin)
-                     for yv, code, margin in zip(ys, code_row.tolist(), margin_row.tolist()))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    """One row per grid point, x-major: both axis values, the integer code, the margin."""
+    xs, ys = np.meshgrid(spec.x_axis.values, spec.y_axis.values, indexing="ij")
+    write_rows_csv(f"{spec.x_axis.name},{spec.y_axis.name},code,margin",
+                   (xs.ravel(), ys.ravel(), codes.ravel(), margins.ravel()), path)
 
 
 def _nsc_exception_curves(spec: SweepSpec) -> list[tuple[str, np.ndarray, np.ndarray]]:

@@ -31,8 +31,10 @@ from .errors import (
     NotSymmetricCase,
     ZeroTangentialField,
 )
+from .jumps import DEFAULT_TOL
 
-DEFAULT_TOL = 1e-9
+# Default margin epsilon of the sufficient condition (CLI and sweeps).
+DEFAULT_EPSILON = 1e-6
 
 
 @dataclass(frozen=True)
@@ -297,6 +299,14 @@ def cvs_nsc_kernel(a, b, big_g, tol=DEFAULT_TOL):
     return code, index, where(index > 0, matched, where(stable, nearest, boundary))
 
 
+def _check_equal_heights(hat_plus: State, hat_minus: State, tol: float) -> None:
+    """HeightMismatch unless the sheet's heights agree to tol * max(1, h+, h-)."""
+    if abs(hat_plus.h - hat_minus.h) > tol * max(1.0, hat_plus.h, hat_minus.h):
+        raise HeightMismatch(
+            f"current-vortex sheet requires equal heights, got {hat_plus.h} and {hat_minus.h}"
+        )
+
+
 def cvs_sufficient_verdict(
     hat_plus: State,
     hat_minus: State,
@@ -311,11 +321,7 @@ def cvs_sufficient_verdict(
     The reported margin is the distance of |[v2]| to the stability
     boundary |B2+| + |B2-|.
     """
-    scale = max(1.0, hat_plus.h, hat_minus.h)
-    if abs(hat_plus.h - hat_minus.h) > tol * scale:
-        raise HeightMismatch(
-            f"current-vortex sheet requires equal heights, got {hat_plus.h} and {hat_minus.h}"
-        )
+    _check_equal_heights(hat_plus, hat_minus, tol)
     b2p = float(hat_plus.B[1])
     b2m = float(hat_minus.B[1])
     if b2p == 0.0 and b2m == 0.0:
@@ -345,11 +351,7 @@ def cvs_nsc_verdict(
     verdict.  Points within tol (relative) of any equality are reported
     as exceptional, never resolved by guessing.
     """
-    scale_h = max(1.0, hat_plus.h, hat_minus.h)
-    if abs(hat_plus.h - hat_minus.h) > tol * scale_h:
-        raise HeightMismatch(
-            f"current-vortex sheet requires equal heights, got {hat_plus.h} and {hat_minus.h}"
-        )
+    _check_equal_heights(hat_plus, hat_minus, tol)
     b2p = float(hat_plus.B[1])
     b2m = float(hat_minus.B[1])
     field_scale = max(1.0, abs(b2p), abs(b2m))

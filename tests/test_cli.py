@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from smhd.cli import EXIT_CODES, main
+from smhd.fv import SimConfig, simulate_1d, simulate_2d
+from smhd.linear import LinearConfig, linear_halfplane_simulate
 
 RATIONAL_PAIR = {
     "plus": {"h": 2.0, "v": [1.0, 0.0], "B": [0.5, 0.0]},
@@ -342,6 +344,16 @@ BAD_INPUTS = {
     "fv-infinite-v": (["simulate", "--config"], _with(RIEMANN_1D, MINUS, v=[float("inf"), 0.0])),
     "fv-short-v": (["simulate", "--config"], _with(RIEMANN_1D, MINUS, v=[1.0])),
     "fv-dt-fixed-text": (["simulate", "--config"], _with(RIEMANN_1D, dt_fixed="x")),
+    "fv-dt-fixed-negative": (["simulate", "--config"], _with(RIEMANN_1D, dt_fixed=-0.01)),
+    "linear-output-interval-text": (["simulate", "--config"],
+                                    _with(LINEAR_RUN, output_interval="0.1")),
+    "linear-wave-check-text": (["simulate", "--config"], _with(LINEAR_RUN, wave_check_time="x")),
+    "linear-infinite-end-time": (["simulate", "--config"],
+                                 _with(LINEAR_RUN, end_time=float("inf"))),
+    "linear-flat-x2-extent": (["simulate", "--config"],
+                              _with(LINEAR_RUN, extents=[[0.0, 8.0], [1.0, 1.0]])),
+    "linear-reversed-x1-extent": (["simulate", "--config"],
+                                  _with(LINEAR_RUN, extents=[[0, -8], [0, 4]])),
     "classify-array": (["classify", "--input"], [RATIONAL_PAIR]),
     "stability-array": (["stability", "cvs", "--input"], [CVS_PAIR]),
     "sweep-array": (["sweep", "--spec"], []),
@@ -429,3 +441,44 @@ def test_parser_exit_codes(capsys, argv, code):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == code
+
+
+SHOCK_2D = {"kind": "fv", "dimensions": 2, "cells": [24, 8], "extents": [[0.0, 6.0], [0.0, 1.0]],
+            "end_time": 0.2, "output_interval": 0.05, "boundary_x1": ["inflow", "outflow"],
+            "initial": {"type": "perturbed_shock", "minus": RATIONAL_PAIR["minus"],
+                        "plus": RATIONAL_PAIR["plus"], "front_position": 2.0,
+                        "amplitude": 0.01, "wavelengths": 1}}
+
+
+def _plain_csv(header, rows):
+    """Reference CSV bytes: each value as format(float(v), ".17g"), ',' separated, LF ends."""
+    lines = [header, *(",".join(format(float(v), ".17g") for v in row) for row in rows)]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+@pytest.mark.parametrize("doc", [RIEMANN_1D, SHOCK_2D, VORTEX_2D, LINEAR_RUN],
+                         ids=["fv-1d", "fv-2d-shock", "fv-2d-vortex", "linear"])
+def test_simulate_csv_matches_plain_rendering(tmp_path, doc):
+    assert main(["simulate", "--config", _write(tmp_path, "c.json", doc),
+                 "--out", str(tmp_path)]) == 0
+    series = (tmp_path / "timeseries.csv").read_bytes()
+    if doc["kind"] == "linear":
+        res = linear_halfplane_simulate(*LinearConfig.from_dict(doc))
+        assert series == _plain_csv("t,l2U,h1U,traceNorm,frontNorm,energy", zip(
+            res.times, res.l2_u, res.h1_u, res.trace_norm, res.front_norm, res.energy))
+        return
+    cfg = SimConfig.from_dict(doc)
+    res = simulate_1d(cfg) if cfg.dimensions == 1 else simulate_2d(cfg)
+    assert series == _plain_csv(
+        "t,mass,momX,momY,fluxBx,fluxBy,divNorm,frontAmp,energy",
+        ((t, *res.conserved[i], res.div_norm[i], res.front_amplitude[i], res.energy[i])
+         for i, t in enumerate(res.times)))
+    q, x = res.snapshot, res.grid["x"]
+    if q.ndim == 2:
+        snapshot = _plain_csv("x,h,momX,momY,fluxBx,fluxBy",
+                              ((xv, *q[:, i]) for i, xv in enumerate(x)))
+    else:
+        snapshot = _plain_csv("x,y,h,momX,momY,fluxBx,fluxBy",
+                              ((xv, yv, *q[:, i, j]) for i, xv in enumerate(x)
+                               for j, yv in enumerate(res.grid["y"])))
+    assert (tmp_path / "snapshot.csv").read_bytes() == snapshot

@@ -406,6 +406,12 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         SimConfig(dimensions=3, cells=(8, 8, 8), extents=((0, 1),) * 3, end_time=1.0,
                   initial={"type": "uniform"})
+    # run fields that are not finite, not positive or not numbers
+    for bad in [{"output_interval": 0.0}, {"output_interval": -0.1}, {"output_interval": "0.1"},
+                {"end_time": math.inf}, {"end_time": math.nan}, {"extents": (1.0, 1.0)},
+                {"extents": (-math.inf, 1.0)}, {"dt_fixed": -0.01}, {"dt_fixed": 0.0}]:
+        with pytest.raises(ConfigError):
+            _riemann_cfg(**bad)
 
 
 def test_front_positions_interpolation():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -117,6 +119,12 @@ def test_config_validation():
         LinearConfig(cells=(4, 4), extents=((0, 8), (0, 4)), end_time=1.0, pulse={})
     with pytest.raises(ConfigError):
         LinearConfig(cells=(32, 8), extents=((1.0, 8.0), (0, 4)), end_time=1.0, pulse={})
+    for bad in [{"output_interval": 0.0}, {"output_interval": -0.1}, {"output_interval": "0.1"},
+                {"end_time": math.inf}, {"wave_check_time": "x"},
+                {"extents": ((0.0, 8.0), (1.0, 1.0))}, {"extents": ((0.0, -8.0), (0.0, 4.0))}]:
+        with pytest.raises(ConfigError):
+            LinearConfig(**{"cells": (32, 8), "extents": ((0.0, 8.0), (0.0, 4.0)),
+                            "end_time": 1.0, **bad})
     setup = _setup()
     with pytest.raises(ConfigError):
         linear_halfplane_simulate(setup, _cfg(end_time=0.5), u0=np.zeros((5, 7, 7)))

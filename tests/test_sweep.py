@@ -7,7 +7,6 @@ import pytest
 from smhd.cli import main
 from smhd.core import PhysParams
 from smhd.errors import ConfigError, SmhdError
-from smhd.ioutil import write_rows_csv
 from smhd.shock import lax_verdict, rectilinear_shock
 from smhd.sweep import (
     CODE_INVALID,
@@ -253,11 +252,12 @@ def test_sweep_csv_matches_generic_writer(tmp_path):
     spec = _spec(*GRIDS[2])
     codes, margins = run_sweep(spec)
     xs, ys = spec.x_axis.values, spec.y_axis.values
-    rows = ((xs[i], ys[j], int(codes[i, j]), margins[i, j])
-            for i in range(xs.size) for j in range(ys.size))
-    write_rows_csv("h,v2_jump,code,margin", rows, tmp_path / "ref.csv")
+    # plain-Python reference: each value as format(float(v), ".17g"), LF line ends
+    lines = ["h,v2_jump,code,margin"]
+    lines += [",".join(format(float(v), ".17g") for v in (xs[i], ys[j], codes[i, j], margins[i, j]))
+              for i in range(xs.size) for j in range(ys.size)]
     sweep_csv(spec, codes, margins, tmp_path / "sweep.csv")
-    assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "sweep.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_sweep_svg_cells_in_row_major_order(tmp_path):
