@@ -21,6 +21,14 @@ takes its maximum speed from the interior cells of the same speed
 arrays, so a pinned inflow ghost never sets dt.  A non-finite wave
 speed or conservation defect aborts the run with NonFiniteState.
 
+The update runs in place: each axis's flux difference goes into one
+state-shaped buffer allocated per run, is scaled by dt / dx and
+subtracted from q, so a step makes no full-state temporary.  The cell
+sums are taken once per step; they are the record row's sums and the
+next step's reference for the conservation defect.  The grid and the
+record cadence are ``ioutil.cell_grid`` and ``ioutil.Recorder``, shared
+with the linear solver.
+
 Each simulation owns its arrays; flux evaluation is vectorized over
 cells and reductions use numpy's pairwise summation, so results are
 bit-for-bit reproducible for identical inputs.
@@ -37,7 +45,8 @@ import numpy as np
 from .core import (PhysParams, State, axis_flux, conserved_from_primitive, fast_speed, fluxes,
                    normal_speeds)
 from .errors import CflViolation, ConfigError, NonFiniteState, PositivityLoss
-from .ioutil import check_float, check_keys, check_run_fields, config_kwargs, state_from_doc
+from .ioutil import (Recorder, cell_grid, check_float, check_keys, check_run_fields, config_kwargs,
+                     state_from_doc)
 from .shock import RectilinearShock
 
 Array = np.ndarray
@@ -239,16 +248,6 @@ class SimConfig:
 # Initial data
 
 
-def _grid(cfg: SimConfig) -> tuple[list[Array], list[float]]:
-    """Cell centres and the cell width along each axis."""
-    centers, widths = [], []
-    for (lo, hi), n in zip(cfg.extents, cfg.cells):
-        d = (hi - lo) / n
-        centers.append(lo + d * (np.arange(n) + 0.5))
-        widths.append(d)
-    return centers, widths
-
-
 def _mix(frac: Array, q_left: Array, q_right: Array) -> Array:
     """Volume-of-fluid average: frac is the cell fraction left of the front."""
     return frac[None, ...] * q_left.reshape(5, *([1] * frac.ndim)) + \
@@ -272,11 +271,14 @@ class _InitialData:
 def _build_initial(cfg: SimConfig) -> _InitialData:
     """Initial data of ``cfg.initial``; a missing or malformed descriptor key is a ConfigError."""
     try:
-        return _initial_data(cfg)
+        init = _initial_data(cfg)
     except KeyError as exc:
         raise ConfigError(f"missing initial-data key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed initial-data value: {exc}") from exc
+    if not (np.all(np.isfinite(init.q0)) and np.min(init.q0[0]) > 0.0):
+        raise ConfigError(f"{cfg.initial['type']} initial data must be finite with h > 0")
+    return init
 
 
 # The keys each initial-data type takes besides "type"; the last two types are 2D only.
@@ -295,7 +297,7 @@ def _initial_data(cfg: SimConfig) -> _InitialData:
     if kind not in tuple(_INITIAL_KEYS)[:2 * ndim]:
         raise ConfigError(f"unknown {ndim}D initial type {kind!r}")
     check_keys(doc, ("type", *_INITIAL_KEYS[kind]), f"{kind} initial key")
-    centers, widths = _grid(cfg)
+    centers, widths = cell_grid(cfg)
     if kind == "uniform":
         q = conserved_from_primitive(state_from_doc(doc["state"]))
         return _InitialData(q0=np.tile(q.reshape((5,) + (1,) * ndim), (1, *cfg.cells)))
@@ -428,21 +430,6 @@ class SimResult:
     steps: int
 
 
-class _Recorder:
-    def __init__(self, cfg: SimConfig):
-        self.interval = cfg.output_interval
-        self.next_t = 0.0
-        self.rows: list[tuple] = []
-
-    def due(self, t: float, final: bool) -> bool:
-        return final or t >= self.next_t - 1e-12
-
-    def push(self, row: tuple, t: float):
-        self.rows.append(row)
-        while self.next_t <= t + 1e-12:
-            self.next_t += self.interval
-
-
 def _energy(q: Array, g: float, cell_volume: float) -> float:
     h = q[0]
     kin = 0.5 * (q[1] ** 2 + q[2] ** 2) / h
@@ -475,7 +462,7 @@ def _simulate(cfg: SimConfig, source: Callable[..., Array] | None = None,
     change of each cell sum against the boundary flux).
     """
     ndim = cfg.dimensions
-    centers, widths = _grid(cfg)
+    centers, widths = cell_grid(cfg)
     init = _build_initial(cfg) if q0 is None else _InitialData(q0=np.asarray(q0, dtype=float))
     if init.q0.shape != (5, *cfg.cells):
         raise ConfigError(f"initial data shape {init.q0.shape} does not match the grid")
@@ -491,10 +478,12 @@ def _simulate(cfg: SimConfig, source: Callable[..., Array] | None = None,
     areas = [math.prod(widths[:axis] + widths[axis + 1:]) for axis in range(ndim)]
     mesh = np.meshgrid(*centers, indexing="ij") if source is not None else None
     periodic = (cfg.boundary_x1[0] == "periodic", cfg.boundary_x2 == "periodic")
+    upd = np.empty_like(q)  # one axis's flux difference, then the source term, times dt
+    sums = q.sum(axis=cell_axes)  # cell sums of the current q
     t = 0.0
     steps = 0
     max_defect = 0.0
-    rec = _Recorder(cfg)
+    rec = Recorder(cfg.output_interval)
 
     def volume(s):
         """``s`` times the cell volume, one width at a time: the rounding of s * dx * dy."""
@@ -502,9 +491,7 @@ def _simulate(cfg: SimConfig, source: Callable[..., Array] | None = None,
             s = s * d
         return s
 
-    def record(final=False):
-        if not rec.due(t, final):
-            return
+    def row():
         # a 1D run has no divergence, and its point front no amplitude
         div = amp = 0.0
         if ndim == 2:
@@ -517,10 +504,10 @@ def _simulate(cfg: SimConfig, source: Callable[..., Array] | None = None,
             if good.size:
                 fp = float(np.mean(good))
                 amp = float(math.sqrt(2.0) * np.std(good))
-        rec.push((t, volume(q.sum(axis=cell_axes)), float(q[0].min()), float(q[0].max()),
-                  div, fp, amp, _energy(q, g, math.prod(widths))), t)
+        return (t, volume(sums), float(q[0].min()), float(q[0].max()),
+                div, fp, amp, _energy(q, g, math.prod(widths)))
 
-    record()
+    rec.offer(t, False, row)
     while t < cfg.end_time - 1e-14:
         faces, speeds = zip(*(sweep.faces(q) for sweep in sweeps))
         _check_finite(sum(speeds), t, "wave speed")
@@ -534,18 +521,21 @@ def _simulate(cfg: SimConfig, source: Callable[..., Array] | None = None,
         if dt * rate > 1.0 + 1e-12:
             raise CflViolation(f"Courant number {dt * rate:.3f} exceeds 1 at t={t:.4g}")
         dt = min(dt, cfg.end_time - t)
-        before = q.sum(axis=cell_axes)
+        before = sums
         boundary = 0.0
         for axis, f in enumerate(faces):
             left, right = _sides(f, 1 + axis)
-            q = q - (dt / widths[axis]) * (right - left)
+            np.subtract(right, left, out=upd)
+            upd *= dt / widths[axis]
+            q -= upd
             first = f[_index(f.ndim, 1 + axis, 0)].sum(axis=cell_axes[:-1])
             last = f[_index(f.ndim, 1 + axis, -1)].sum(axis=cell_axes[:-1])
             boundary = boundary + dt * areas[axis] * (last - first)
         if source is not None:
             s_arr = source(t, *mesh)
-            q = q + dt * s_arr
-        defect = volume(q.sum(axis=cell_axes) - before) + boundary
+            q += np.multiply(dt, s_arr, out=upd)
+        sums = q.sum(axis=cell_axes)
+        defect = volume(sums - before) + boundary
         if source is not None:
             defect = defect - volume(dt * s_arr.sum(axis=cell_axes))
         step_defect = float(np.max(np.abs(defect)) /
@@ -555,10 +545,9 @@ def _simulate(cfg: SimConfig, source: Callable[..., Array] | None = None,
         _check_positive(q, t + dt)
         t += dt
         steps += 1
-        record(final=t >= cfg.end_time - 1e-14)
+        rec.offer(t, t >= cfg.end_time - 1e-14, row)
 
-    grid = dict(zip("xy", centers))
-    grid.update(zip(("dx", "dy"), widths))
+    grid = dict(zip("xy", centers)) | dict(zip(("dx", "dy"), widths))
     # each recorded row holds the time-series fields of SimResult in field order
     return SimResult(*map(np.array, zip(*rec.rows)), max_conservation_defect=max_defect,
                      snapshot=q, grid=grid, steps=steps)

@@ -1,14 +1,19 @@
-"""Deterministic JSON/CSV serialization for states, pairs, and results.
+"""Deterministic JSON/CSV serialization, config checks, and the run skeleton.
 
 ``write_rows_csv`` is the one table writer of every CSV file the CLI
 writes: '.' decimals, 17 significant digits for floats, ``%d`` for
 integer columns and LF line endings, so identical inputs reproduce
-byte-identical files.  It formats ``.tolist()`` blocks of rows but
-writes the whole text with one call: freeing that one large string
-raises glibc's dynamic mmap threshold, so the per-step temporaries of a
-later simulation in the same process reuse heap pages (a 256x64 2D run
-after such a write took ~2k minor page faults, ~116k after a write
-streamed block by block).
+byte-identical files.  It formats ``.tolist()`` blocks of rows and
+writes the whole text with one call, so a row that fails to format
+leaves no partial file.  Page faults and speed do not decide it: a 256x64
+2D run after a one-call or a block-streamed snapshot write takes ~2k
+minor page faults either way (the fv step keeps no per-step full-state
+temporaries), and both writes of that 16384-row file take ~48 ms.
+
+``check_keys``, ``config_kwargs``, ``check_float``, ``check_count`` and
+``check_run_fields`` validate config documents at the edge.  The fv and
+the linear simulators share ``cell_grid`` (cell centres and widths) and
+``Recorder`` (which steps a run records).
 """
 
 from __future__ import annotations
@@ -113,25 +118,37 @@ def config_kwargs(cls, doc: dict, allowed: tuple[str, ...] = ()) -> dict:
 
 
 def check_float(value, name: str, lo=0.0, hi=math.inf, error=ConfigError) -> float:
-    """``value`` as a float; a non-number is a ConfigError, one outside (lo, hi) ``error``."""
-    if not isinstance(value, numbers.Real):
+    """``value`` as a float; a non-number (a bool too) is a ConfigError, one outside
+    (lo, hi) ``error``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     if not lo < value < hi:
         raise error(f"{name} must lie in ({lo:g}, {hi:g}), got {value}")
     return float(value)
 
 
+def check_count(value, name: str, lo: int) -> int:
+    """``int(value)``; a bool, a non-integral number or a count below ``lo`` is a ConfigError."""
+    if isinstance(value, bool) or (isinstance(value, numbers.Real)
+                                   and not float(value).is_integer()):
+        raise ConfigError(f"{name} must be a whole number, got {value}")
+    n = int(value)
+    if n < lo:
+        raise ConfigError(f"{name} must be at least {lo}, got {n}")
+    return n
+
+
 def check_run_fields(cfg, ndim: int) -> None:
     """Convert and check, in place, the run fields of the fv and linear configs.
 
-    ``cells`` become ``ndim`` ints >= 8, ``extents`` ``ndim`` finite float
+    ``cells`` become ``ndim`` whole numbers >= 8, ``extents`` ``ndim`` finite float
     pairs (lo, hi) with hi > lo, ``end_time`` and ``output_interval``
     (default end_time / 50) finite numbers > 0, and ``cfl`` a number in
     (0, 1) (else a CflViolation).
     """
-    cfg.cells = tuple(int(n) for n in np.atleast_1d(cfg.cells))
-    if len(cfg.cells) != ndim or any(n < 8 for n in cfg.cells):
-        raise ConfigError(f"need {ndim} cell counts of at least 8, got {cfg.cells}")
+    cfg.cells = tuple(check_count(n, "cells", 8) for n in np.atleast_1d(cfg.cells))
+    if len(cfg.cells) != ndim:
+        raise ConfigError(f"need {ndim} cell counts, got {cfg.cells}")
     cfg.extents = tuple((float(lo), float(hi)) for lo, hi in np.atleast_2d(cfg.extents))
     if len(cfg.extents) != ndim or not all(-math.inf < a < b < math.inf for a, b in cfg.extents):
         raise ConfigError(f"need {ndim} finite extents [lo, hi] with hi > lo, got {cfg.extents}")
@@ -140,6 +157,34 @@ def check_run_fields(cfg, ndim: int) -> None:
     if cfg.output_interval is None:
         cfg.output_interval = cfg.end_time / 50.0
     cfg.output_interval = check_float(cfg.output_interval, "output_interval")
+
+
+def cell_grid(cfg) -> tuple[list[np.ndarray], list[float]]:
+    """Cell centres and the cell width along each axis of a checked run config."""
+    centers, widths = [], []
+    for (lo, hi), n in zip(cfg.extents, cfg.cells):
+        d = (hi - lo) / n
+        centers.append(lo + d * (np.arange(n) + 0.5))
+        widths.append(d)
+    return centers, widths
+
+
+class Recorder:
+    """The record cadence of a run: a row at t = 0, one at the first step
+    reaching each multiple of ``interval`` (within 1e-12), and one at the
+    final step."""
+
+    def __init__(self, interval: float):
+        self.interval = interval
+        self.next_t = 0.0
+        self.rows: list[tuple] = []
+
+    def offer(self, t: float, final: bool, row) -> None:
+        """Keep the tuple ``row()`` if a record is due at time ``t``."""
+        if final or t >= self.next_t - 1e-12:
+            self.rows.append(row())
+            while self.next_t <= t + 1e-12:
+                self.next_t += self.interval
 
 
 def dump_json(doc: dict, path: str | Path | None = None) -> str:

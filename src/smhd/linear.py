@@ -32,7 +32,7 @@ import scipy.linalg as sla
 
 from .core import PhysParams
 from .errors import ConfigError, ConstraintViolation, LaxViolation
-from .ioutil import check_float, check_keys, check_run_fields, config_kwargs
+from .ioutil import Recorder, cell_grid, check_float, check_keys, check_run_fields, config_kwargs
 from .shock import LinearizedShockSetup, linearized_setup, rectilinear_shock
 
 Array = np.ndarray
@@ -81,13 +81,14 @@ def boundary_condition_matrix(setup: LinearizedShockSetup) -> Array:
     ])
 
 
-def _upwind_split(a: Array, a0: Array) -> tuple[Array, Array, Array, Array, float]:
-    """Eigen-split G = A0^-1 A into G+ and G- plus the eigenbasis."""
+def _upwind_split(a: Array, a0: Array) -> tuple[Array, Array, Array, Array, Array]:
+    """Eigen-split G = A0^-1 A into G+ and G-, the eigenbasis, its inverse and the
+    ascending eigenvalues."""
     lam, vecs = sla.eigh(a, a0)
     inv = vecs.T @ a0
     g_plus = vecs @ np.diag(np.maximum(lam, 0.0)) @ inv
     g_minus = vecs @ np.diag(np.minimum(lam, 0.0)) @ inv
-    return g_plus, g_minus, vecs, inv, float(np.max(np.abs(lam)))
+    return g_plus, g_minus, vecs, inv, lam
 
 
 @dataclass
@@ -176,32 +177,34 @@ def make_constraint_pulse(cfg: LinearConfig, setup: LinearizedShockSetup) -> Arr
     of a potential minus Bc p, which cancels in the one-sided constraint
     operator identically.  Velocities are free and default to zero.
     """
-    n1, n2 = cfg.cells
+    (x, y), (dx, dy) = cell_grid(cfg)
     (x0, x1), (y0, y1) = cfg.extents
-    dx = (x1 - x0) / n1
-    dy = (y1 - y0) / n2
-    x = x0 + dx * (np.arange(n1) + 0.5)
-    y = y0 + dy * (np.arange(n2) + 0.5)
     xx, yy = np.meshgrid(x, y, indexing="ij")
     doc = cfg.pulse
     try:
-        cx, cy = (float(c) for c in doc.get("center", (0.5 * (x0 + x1), 0.5 * (y0 + y1))))
+        cx, cy = doc.get("center", (0.5 * (x0 + x1), 0.5 * (y0 + y1)))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"pulse center must be a pair of numbers: {exc}") from exc
-    w = float(doc.get("width", 0.1 * (x1 - x0)))
+    cx, cy = (check_float(c, "pulse center", -math.inf) for c in (cx, cy))
+    w = check_float(doc.get("width", 0.1 * (x1 - x0)), "pulse width")
     r2 = ((xx - cx) ** 2 + (yy - cy) ** 2) / w**2
     bump = np.where(r2 < 16.0, np.exp(-r2), 0.0)
 
-    u = np.zeros((5, n1, n2))
-    u[0] = float(doc.get("p_amplitude", 1.0)) * bump
-    u[1] = float(doc.get("v1_amplitude", 0.0)) * bump
-    u[2] = float(doc.get("v2_amplitude", 0.0)) * bump
-    pot = float(doc.get("potential_amplitude", 0.0)) * bump
+    def amplitude(key: str, default: float) -> float:
+        return check_float(doc.get(key, default), f"pulse {key}", -math.inf)
+
+    u = np.zeros((5, *cfg.cells))
+    u[0] = amplitude("p_amplitude", 1.0) * bump
+    u[1] = amplitude("v1_amplitude", 0.0) * bump
+    u[2] = amplitude("v2_amplitude", 0.0) * bump
+    pot = amplitude("potential_amplitude", 0.0) * bump
     # one-sided curl: (d2 pot, -d1 pot) with the same differences as the
     # constraint check, so the curl part drops out of it exactly
     u[3] = (np.roll(pot, -1, axis=1) - pot) / dy - setup.m1 * u[0]
-    u[4] = -np.concatenate([(pot[1:, :] - pot[:-1, :]) / dx, np.zeros((1, n2))], axis=0) \
+    u[4] = -np.concatenate([(pot[1:, :] - pot[:-1, :]) / dx, np.zeros_like(pot[:1])], axis=0) \
         - setup.m2 * u[0]
+    if not np.any(u):
+        raise ConfigError("the pulse is zero in every cell")
     return u
 
 
@@ -219,9 +222,7 @@ def linear_halfplane_simulate(
     gradient magnitude of the data) are rejected.
     """
     n1, n2 = cfg.cells
-    (x0, x1), (y0, y1) = cfg.extents
-    dx = (x1 - x0) / n1
-    dy = (y1 - y0) / n2
+    centers, (dx, dy) = cell_grid(cfg)
 
     if u0 is None:
         u0 = make_constraint_pulse(cfg, setup)
@@ -238,10 +239,8 @@ def linear_halfplane_simulate(
         )
 
     a0, a1, a2 = system_matrices(setup)
-    g1p, g1m, vecs, vinv, smax1 = _upwind_split(a1, a0)
-    g2p, g2m, _, _, smax2 = _upwind_split(a2, a0)
-
-    lam1 = np.sort(sla.eigh(a1, a0, eigvals_only=True))
+    g1p, g1m, vecs, vinv, lam1 = _upwind_split(a1, a0)
+    g2p, g2m, _, _, lam2 = _upwind_split(a2, a0)
     if not (lam1[0] < 0.0 < lam1[1]):
         raise LaxViolation("expected exactly one outgoing characteristic at x1 = 0")
 
@@ -253,50 +252,48 @@ def linear_halfplane_simulate(
     lu, piv = sla.lu_factor(m4)
     c_out = (cmat @ v_out).ravel()
 
+    smax1, smax2 = (float(np.max(np.abs(lam))) for lam in (lam1, lam2))
     dt = cfg.cfl / (smax1 / dx + smax2 / dy)
     n_steps = max(1, int(math.ceil(cfg.end_time / dt)))
     dt = cfg.end_time / n_steps
 
-    phi = np.zeros(n2)
     r = setup.ratio
-
-    rows: list[tuple] = []
-    next_record = 0.0
+    # front evolution: dt phi = (ell0/M^2) d2 phi - a0 p_b / (1 - R)
+    phi_drift, phi_pb = setup.ell0 / setup.froude**2, setup.a0 / (1.0 - r)
+    rec = Recorder(cfg.output_interval)
     p_triple: list[Array] = []
     p_triple_time = None
     triple_armed = cfg.wave_check_time is not None
 
-    def boundary_state() -> Array:
-        """Solve the four boundary relations for the ghost state per row."""
+    def boundary_state(dphi: Array) -> Array:
+        """Solve the four boundary relations for the ghost state per row, given d2 phi."""
         w_out = (vinv @ u[:, 0, :].reshape(5, n2))[0]           # outgoing amplitude
-        dphi = (np.roll(phi, -1) - np.roll(phi, 1)) / (2.0 * dy)
         rhs = np.zeros((4, n2))
         rhs[1] = -(1.0 - r) * dphi
         rhs -= np.outer(c_out, w_out)
         w_in = sla.lu_solve((lu, piv), rhs)
         return v_out @ w_out[None, :] + v_in @ w_in
 
-    def record(t: float):
+    def row() -> tuple:
         vol = dx * dy
         du1 = np.diff(u, axis=1)
         du2 = np.roll(u, -1, axis=2) - u
         l2 = math.sqrt(float(np.sum(u * u)) * vol)
         h1 = math.sqrt(float(np.sum(u * u) + np.sum(du1 * du1) + np.sum(du2 * du2)) * vol)
-        ub = boundary_state()
         dub = np.roll(ub, -1, axis=1) - ub
         tr = math.sqrt(float(np.sum(ub * ub) + np.sum(dub * dub)) * dy)
         dphi = np.roll(phi, -1) - phi
         fr = math.sqrt(float(np.sum(phi * phi) + np.sum(dphi * dphi)) * dy)
         en = float(np.einsum("ixy,ij,jxy->", u, a0, u)) * vol
-        rows.append((t, l2, h1, tr, fr, en))
+        return t, l2, h1, tr, fr, en
 
+    # phi, its central difference d2 phi and the boundary state of the current u and phi
+    phi = dphi = np.zeros(n2)
+    ub = boundary_state(dphi)
     t = 0.0
-    record(t)
-    next_record = cfg.output_interval
+    rec.offer(t, False, row)
 
-    for _ in range(n_steps):
-        ub = boundary_state()
-
+    for step in range(n_steps):
         # x1 sweep: ghost = boundary state on the left, zero-gradient right
         ug = np.concatenate([ub[:, None, :], u, u[:, -1:, :]], axis=1)
         dm1 = ug[:, 1:-1, :] - ug[:, :-2, :]
@@ -309,11 +306,9 @@ def linear_halfplane_simulate(
         flux2 = np.einsum("ij,jxy->ixy", g2p, dm2) + np.einsum("ij,jxy->ixy", g2m, dp2)
 
         u = u - (dt / dx) * flux1 - (dt / dy) * flux2
-
-        # front evolution: dt phi = (ell0/M^2) d2 phi - a0 p_b / (1 - R)
-        dphi_c = (np.roll(phi, -1) - np.roll(phi, 1)) / (2.0 * dy)
-        phi = phi + dt * ((setup.ell0 / setup.froude**2) * dphi_c
-                          - setup.a0 / (1.0 - r) * ub[0])
+        phi = phi + dt * (phi_drift * dphi - phi_pb * ub[0])
+        dphi = (np.roll(phi, -1) - np.roll(phi, 1)) / (2.0 * dy)
+        ub = boundary_state(dphi)
 
         t += dt
         if triple_armed and t >= cfg.wave_check_time:
@@ -321,24 +316,17 @@ def linear_halfplane_simulate(
             if len(p_triple) == 3:
                 triple_armed = False
                 p_triple_time = t - dt  # time level of the middle snapshot
-        if t >= next_record - 1e-12:
-            record(t)
-            while next_record <= t + 1e-12:
-                next_record += cfg.output_interval
+        rec.offer(t, step == n_steps - 1, row)
 
-    if rows[-1][0] < t:
-        record(t)
     # each recorded row holds the norm series of LinearResult in field order
     return LinearResult(
-        *np.array(rows).T,
+        *np.array(rec.rows).T,
         u_final=u,
         phi_final=phi,
         p_triple=np.array(p_triple) if len(p_triple) == 3 else None,
         p_triple_time=p_triple_time,
         dt=dt,
-        grid={"dx": dx, "dy": dy,
-              "x": x0 + dx * (np.arange(n1) + 0.5),
-              "y": y0 + dy * (np.arange(n2) + 0.5)},
+        grid=dict(zip(("x", "y", "dx", "dy"), (*centers, dx, dy))),
         steps=n_steps,
     )
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import FrontGeometry, State
 from .errors import ConfigError
-from .ioutil import check_keys, fmt, write_rows_csv
+from .ioutil import check_count, check_keys, fmt, write_rows_csv
 from .jumps import KIND_SHOCK, kind_code, side_traces
 from .shock import lax_kernel, rectilinear_family
 from .symmetrization import (
@@ -72,9 +72,7 @@ class Axis:
     def __post_init__(self):
         self.lo = float(self.lo)
         self.hi = float(self.hi)
-        self.count = int(self.count)
-        if self.count < 2:
-            raise ConfigError(f"axis {self.name!r} needs at least 2 samples")
+        self.count = check_count(self.count, f"axis {self.name!r} count", 2)
         if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.hi > self.lo):
             raise ConfigError(f"axis {self.name!r} has an invalid range [{self.lo}, {self.hi}]")
 
@@ -99,6 +97,8 @@ class SweepSpec:
         names, what = tuple(_PARAMETERS[self.verdict]), f"{self.verdict} sweep parameter"
         check_keys(dict.fromkeys((self.x_axis.name, self.y_axis.name)), names, what)
         check_keys(self.fixed, names, what)
+        if any(isinstance(value, bool) for value in self.fixed.values()):
+            raise ConfigError(f"fixed sweep parameters must be numbers, got {self.fixed}")
         try:
             self.fixed = {name: float(value) for name, value in self.fixed.items()}
         except (TypeError, ValueError) as exc:
@@ -116,7 +116,7 @@ class SweepSpec:
                 y_axis=Axis(ay["name"], ay["min"], ay["max"], ay["count"]),
                 fixed=doc.get("fixed", {}),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed sweep spec: {exc}") from exc
 
 

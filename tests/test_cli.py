@@ -311,6 +311,15 @@ LINEAR_RUN = {"kind": "linear",
 VORTEX_2D = {"kind": "fv", "dimensions": 2, "cells": [8, 8], "extents": [[0.0, 1.0], [0.0, 1.0]],
              "end_time": 0.01, "boundary_x1": "periodic", "initial": {"type": "vortex"}}
 
+SHOCK_2D = {"kind": "fv", "dimensions": 2, "cells": [24, 8], "extents": [[0.0, 6.0], [0.0, 1.0]],
+            "end_time": 0.2, "output_interval": 0.05, "boundary_x1": ["inflow", "outflow"],
+            "initial": {"type": "perturbed_shock", "minus": RATIONAL_PAIR["minus"],
+                        "plus": RATIONAL_PAIR["plus"], "front_position": 2.0,
+                        "amplitude": 0.01, "wavelengths": 1}}
+
+LAX_SWEEP = {"verdict": "lax", "x_axis": {"name": "ratio", "min": 0.5, "max": 2.0, "count": 3},
+             "y_axis": {"name": "b1_plus", "min": 0.1, "max": 1.0, "count": 2}}
+
 
 def _with(doc, path=(), **changes):
     """A deep copy of ``doc`` with ``changes`` merged into the object at ``path``."""
@@ -323,6 +332,7 @@ def _with(doc, path=(), **changes):
 
 
 MINUS = ("initial", "minus")
+NAN = float("nan")
 
 # name -> (argv, document for the file that ends argv, or None)
 BAD_INPUTS = {
@@ -370,6 +380,30 @@ BAD_INPUTS = {
     "vortex-lx-zero": (["simulate", "--config"], _with(VORTEX_2D, ("initial",), lx=0)),
     "vortex-ly-infinite": (["simulate", "--config"],
                            _with(VORTEX_2D, ("initial",), ly=float("inf"))),
+    "pulse-width-zero": (["simulate", "--config"], _with(LINEAR_RUN, pulse={"width": 0})),
+    "pulse-width-nan": (["simulate", "--config"], _with(LINEAR_RUN, pulse={"width": NAN})),
+    "pulse-width-negative": (["simulate", "--config"], _with(LINEAR_RUN, pulse={"width": -0.4})),
+    "pulse-center-outside": (["simulate", "--config"],
+                             _with(LINEAR_RUN, pulse={"center": [100.0, 2.0]})),
+    "pulse-center-nan": (["simulate", "--config"], _with(LINEAR_RUN, pulse={"center": [NAN, 2.0]})),
+    "pulse-zero-amplitudes": (["simulate", "--config"],
+                              _with(LINEAR_RUN, pulse={"p_amplitude": 0})),
+    "pulse-p-amplitude-infinite": (["simulate", "--config"],
+                                   _with(LINEAR_RUN, pulse={"p_amplitude": float("inf")})),
+    "vortex-h0-negative": (["simulate", "--config"], _with(VORTEX_2D, ("initial",), h0=-1)),
+    "vortex-h-amp-nan": (["simulate", "--config"], _with(VORTEX_2D, ("initial",), h_amp=NAN)),
+    "vortex-v0-nan": (["simulate", "--config"], _with(VORTEX_2D, ("initial",), v0=[NAN, 0.2])),
+    "riemann-interface-nan": (["simulate", "--config"],
+                              _with(RIEMANN_1D, ("initial",), interface=NAN)),
+    "perturbed-shock-amplitude-nan": (["simulate", "--config"],
+                                      _with(SHOCK_2D, ("initial",), amplitude=NAN)),
+    "linear-end-time-true": (["simulate", "--config"], _with(LINEAR_RUN, end_time=True)),
+    "fv-output-interval-true": (["simulate", "--config"], _with(RIEMANN_1D, output_interval=True)),
+    "fv-fractional-cells": (["simulate", "--config"], _with(RIEMANN_1D, cells=[40.7])),
+    "sweep-fractional-count": (["sweep", "--spec"], _with(LAX_SWEEP, ("x_axis",), count=2.9)),
+    "sweep-fixed-true": (["sweep", "--spec"], _with(LAX_SWEEP, fixed={"g": True})),
+    "sweep-axis-min-text": (["sweep", "--spec"], _with(LAX_SWEEP, ("x_axis",), min="x")),
+    "sweep-axis-count-text": (["sweep", "--spec"], _with(LAX_SWEEP, ("x_axis",), count="ab")),
 }
 
 
@@ -441,13 +475,6 @@ def test_parser_exit_codes(capsys, argv, code):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == code
-
-
-SHOCK_2D = {"kind": "fv", "dimensions": 2, "cells": [24, 8], "extents": [[0.0, 6.0], [0.0, 1.0]],
-            "end_time": 0.2, "output_interval": 0.05, "boundary_x1": ["inflow", "outflow"],
-            "initial": {"type": "perturbed_shock", "minus": RATIONAL_PAIR["minus"],
-                        "plus": RATIONAL_PAIR["plus"], "front_position": 2.0,
-                        "amplitude": 0.01, "wavelengths": 1}}
 
 
 def _plain_csv(header, rows):

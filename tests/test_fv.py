@@ -20,7 +20,8 @@ from smhd.fv import (
     simulate_2d,
     transition_band_width,
 )
-from smhd.shock import rectilinear_shock
+from smhd.linear import LinearConfig, linear_halfplane_simulate
+from smhd.shock import linearized_setup, rectilinear_shock
 
 from conftest import random_state
 
@@ -231,6 +232,41 @@ def test_record_rules_per_dimension():
                                    end_time=0.1, boundary_x1="periodic", initial=uniform))
     assert np.all(np.isnan(flat2d.front_amplitude))
     assert np.all(np.isnan(flat2d.front_position))
+
+
+def _cadence(step_times, interval):
+    """t = 0, the first step time >= k * interval - 1e-12 for each k >= 1, the last step."""
+    times = [0.0]
+    for k in range(1, int(step_times[-1] / interval) + 2):
+        due = [t for t in step_times if t >= k * interval - 1e-12]
+        if due and due[0] != times[-1]:
+            times.append(due[0])
+    if times[-1] != step_times[-1]:
+        times.append(step_times[-1])
+    return times
+
+
+@pytest.mark.parametrize("solver", ["fv-1d", "linear"])
+def test_record_cadence(solver):
+    # both simulators record on the same cadence, built here from their step times
+    interval, steps, t = 0.05, [], 0.0
+    if solver == "fv-1d":
+        dt, end = 0.013, 0.5
+        res = simulate_1d(_riemann_cfg(cells=32, end_time=end, dt_fixed=dt,
+                                       output_interval=interval))
+        while t < end - 1e-14:
+            t += min(dt, end - t)
+            steps.append(t)
+    else:
+        cfg = LinearConfig(cells=(32, 16), extents=((0.0, 8.0), (0.0, 4.0)), end_time=0.5,
+                           output_interval=interval)
+        res = linear_halfplane_simulate(linearized_setup(rectilinear_shock(
+            1.0, 2.0, 0.5, 0.0, PhysParams()), PhysParams()), cfg)
+        for _ in range(res.steps):
+            t += res.dt
+            steps.append(t)
+    assert res.steps == len(steps)
+    assert res.times.tolist() == _cadence(steps, interval)
 
 
 def test_vortex_divergence_stays_near_truncation_level():
