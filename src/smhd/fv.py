@@ -45,11 +45,13 @@ import numpy as np
 from .core import (PhysParams, State, axis_flux, conserved_from_primitive, fast_speed, fluxes,
                    normal_speeds)
 from .errors import CflViolation, ConfigError, NonFiniteState, PositivityLoss
-from .ioutil import (Recorder, cell_grid, check_float, check_keys, check_run_fields, config_kwargs,
-                     state_from_doc)
+from .ioutil import (Recorder, cell_grid, check_count, check_float, check_keys, check_number,
+                     check_pair, check_run_fields, config_kwargs, state_from_doc, state_to_doc)
 from .shock import RectilinearShock
 
 Array = np.ndarray
+# Fraction of the level jump that bounds the band of transition_band_width.
+BAND_FRAC = 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -214,17 +216,17 @@ class SimConfig:
     dt_fixed: float | None = None
 
     def __post_init__(self):
-        if self.dimensions not in (1, 2):
+        self.dimensions = check_count(self.dimensions, "dimensions", 1)
+        if self.dimensions > 2:
             raise ConfigError(f"dimensions must be 1 or 2, got {self.dimensions}")
         check_run_fields(self, self.dimensions)
-        if not self.g > 0.0:
-            raise ConfigError(f"g must be positive, got {self.g}")
+        self.g = check_float(self.g, "g")
         if isinstance(self.boundary_x1, str):
             self.boundary_x1 = (self.boundary_x1, self.boundary_x1)
-        self.boundary_x1 = tuple(self.boundary_x1)
-        if len(self.boundary_x1) != 2 or \
+        if not isinstance(self.boundary_x1, (list, tuple)) or len(self.boundary_x1) != 2 or \
                 any(b not in _BOUNDARY_KINDS for b in self.boundary_x1):
             raise ConfigError(f"unknown x1 boundary in {self.boundary_x1}")
+        self.boundary_x1 = tuple(self.boundary_x1)
         if "periodic" in self.boundary_x1 and self.boundary_x1 != ("periodic", "periodic"):
             raise ConfigError("periodic x1 boundaries must be used on both ends")
         if self.boundary_x2 not in ("periodic", "outflow"):
@@ -237,11 +239,7 @@ class SimConfig:
     @staticmethod
     def from_dict(doc: dict) -> "SimConfig":
         """Config of a ``"kind": "fv"`` document; unknown or missing keys are ConfigErrors."""
-        kwargs = config_kwargs(SimConfig, doc, allowed=("kind",))
-        try:
-            return SimConfig(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed config value: {exc}") from exc
+        return SimConfig(**config_kwargs(SimConfig, doc, allowed=("kind",)))
 
 
 # ---------------------------------------------------------------------------
@@ -269,24 +267,19 @@ class _InitialData:
 
 
 def _build_initial(cfg: SimConfig) -> _InitialData:
-    """Initial data of ``cfg.initial``; a missing or malformed descriptor key is a ConfigError."""
-    try:
-        init = _initial_data(cfg)
-    except KeyError as exc:
-        raise ConfigError(f"missing initial-data key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed initial-data value: {exc}") from exc
+    """Initial data of ``cfg.initial``; data that are not finite with h > 0 are a ConfigError."""
+    init = _initial_data(cfg)
     if not (np.all(np.isfinite(init.q0)) and np.min(init.q0[0]) > 0.0):
         raise ConfigError(f"{cfg.initial['type']} initial data must be finite with h > 0")
     return init
 
 
-# The keys each initial-data type takes besides "type"; the last two types are 2D only.
+# (required, optional) keys of each initial-data type besides "type"; the last two are 2D only.
 _INITIAL_KEYS = {
-    "uniform": ("state",),
-    "riemann": ("minus", "plus", "interface"),
-    "perturbed_shock": ("minus", "plus", "front_position", "amplitude", "wavelengths"),
-    "vortex": ("lx", "ly", "h0", "h_amp", "b_amp", "v0", "v_amp"),
+    "uniform": (("state",), ()),
+    "riemann": (("minus", "plus"), ("interface",)),
+    "perturbed_shock": (("minus", "plus", "front_position"), ("amplitude", "wavelengths")),
+    "vortex": ((), ("lx", "ly", "h0", "h_amp", "b_amp", "v0", "v_amp")),
 }
 
 
@@ -296,30 +289,31 @@ def _initial_data(cfg: SimConfig) -> _InitialData:
     ndim = cfg.dimensions
     if kind not in tuple(_INITIAL_KEYS)[:2 * ndim]:
         raise ConfigError(f"unknown {ndim}D initial type {kind!r}")
-    check_keys(doc, ("type", *_INITIAL_KEYS[kind]), f"{kind} initial key")
+    required, optional = _INITIAL_KEYS[kind]
+    check_keys(doc, ("type", *required, *optional), f"{kind} initial key", required=required)
     centers, widths = cell_grid(cfg)
     if kind == "uniform":
         q = conserved_from_primitive(state_from_doc(doc["state"]))
         return _InitialData(q0=np.tile(q.reshape((5,) + (1,) * ndim), (1, *cfg.cells)))
     if kind == "vortex":
         return _InitialData(q0=_vortex_data(doc, *centers))
-    qm = conserved_from_primitive(state_from_doc(doc["minus"]))
-    qp = conserved_from_primitive(state_from_doc(doc["plus"]))
+    qm = conserved_from_primitive(state_from_doc(doc["minus"], "minus"))
+    qp = conserved_from_primitive(state_from_doc(doc["plus"], "plus"))
     x, dx = centers[0], widths[0]
     # x1 position of the front in every x2 row
     if kind == "riemann":
-        x_if = float(doc.get("interface", 0.5 * (x[0] + x[-1])))
+        x_if = check_number(doc.get("interface", 0.5 * (x[0] + x[-1])), "interface")
         front = np.full(cfg.cells[1:], x_if)
     else:
-        x_if = float(doc["front_position"])
-        amp = float(doc.get("amplitude", 0.0))
-        wavelengths = int(doc.get("wavelengths", 1))
+        x_if = check_number(doc["front_position"], "front_position")
+        amp = check_number(doc.get("amplitude", 0.0), "amplitude")
+        wavelengths = check_count(doc.get("wavelengths", 1), "wavelengths", 1)
         (y0, y1) = cfg.extents[1]
         k = 2.0 * math.pi * wavelengths / (y1 - y0)
         front = x_if + amp * np.cos(k * (centers[1] - y0))
     left_edges = (x - 0.5 * dx).reshape((-1,) + (1,) * (ndim - 1))
     frac = np.clip((front - left_edges) / dx, 0.0, 1.0)
-    level = 0.5 * (doc["minus"]["h"] + doc["plus"]["h"])
+    level = 0.5 * (qm[0] + qp[0])
     return _InitialData(q0=_mix(frac, qm, qp), front_level=level,
                         front_reference=x_if, inflow_left=qm, inflow_right=qp)
 
@@ -331,17 +325,12 @@ def _vortex_data(doc: dict, x: Array, y: Array) -> Array:
 
     Default amplitudes are gentle enough that the flow stays smooth well
     past t = 1, so first-order error behavior is observable."""
-    lx = float(doc.get("lx", x[-1] - x[0] + (x[1] - x[0])))
-    ly = float(doc.get("ly", y[-1] - y[0] + (y[1] - y[0])))
-    if not (0.0 < lx < math.inf and 0.0 < ly < math.inf):
-        raise ConfigError(f"vortex lx and ly must be positive and finite, got {lx}, {ly}")
-    kx = 2.0 * math.pi / lx
-    ky = 2.0 * math.pi / ly
-    h0 = float(doc.get("h0", 1.0))
-    h_amp = float(doc.get("h_amp", 0.02))
-    b_amp = float(doc.get("b_amp", 0.05))
-    v0 = np.asarray(doc.get("v0", (0.3, 0.2)), dtype=float).reshape(2)
-    v_amp = float(doc.get("v_amp", 0.02))
+    kx = 2.0 * math.pi / check_float(doc.get("lx", x[-1] - x[0] + (x[1] - x[0])), "vortex lx")
+    ky = 2.0 * math.pi / check_float(doc.get("ly", y[-1] - y[0] + (y[1] - y[0])), "vortex ly")
+    h0, h_amp, b_amp, v_amp = (
+        check_number(doc.get(key, default), f"vortex {key}")
+        for key, default in (("h0", 1.0), ("h_amp", 0.02), ("b_amp", 0.05), ("v_amp", 0.02)))
+    v0 = check_pair(doc.get("v0", (0.3, 0.2)), "vortex v0")
     xx, yy = np.meshgrid(x, y, indexing="ij")
     h = h0 + h_amp * np.cos(kx * xx) * np.cos(ky * yy)
     hb1 = b_amp * np.sin(kx * xx) * np.cos(ky * yy) * (ky / kx)
@@ -398,10 +387,10 @@ def front_positions(x: Array, h: Array, level: float) -> Array:
     return out
 
 
-def transition_band_width(x: Array, h_row: Array, level: float, frac: float = 0.2) -> float:
-    """Width of the region where h stays within ``frac`` of the level jump."""
+def transition_band_width(x: Array, h_row: Array, level: float) -> float:
+    """Width of the region where h stays within ``BAND_FRAC`` of the level jump."""
     span = np.max(h_row) - np.min(h_row)
-    mask = np.abs(h_row - level) <= frac * span
+    mask = np.abs(h_row - level) <= BAND_FRAC * span
     if not np.any(mask):
         return 0.0
     xs = x[mask]
@@ -604,8 +593,8 @@ def perturbed_shock_experiment(
     (x0, x1), _ = cfg.extents
     doc = {
         "type": "perturbed_shock",
-        "minus": {"h": minus.h, "v": list(minus.v), "B": list(minus.B)},
-        "plus": {"h": plus.h, "v": list(plus.v), "B": list(plus.B)},
+        "minus": state_to_doc(minus),
+        "plus": state_to_doc(plus),
         "front_position": cfg.initial.get("front_position", 0.5 * (x0 + x1)),
         "amplitude": amplitude,
         "wavelengths": wavelengths,

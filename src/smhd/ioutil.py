@@ -10,10 +10,12 @@ leaves no partial file.  Page faults and speed do not decide it: a 256x64
 minor page faults either way (the fv step keeps no per-step full-state
 temporaries), and both writes of that 16384-row file take ~48 ms.
 
-``check_keys``, ``config_kwargs``, ``check_float``, ``check_count`` and
-``check_run_fields`` validate config documents at the edge.  The fv and
-the linear simulators share ``cell_grid`` (cell centres and widths) and
-``Recorder`` (which steps a run records).
+Each document value is read once, where it is used, by ``check_number``
+(a string or a bool is no number), ``check_float``, ``check_count`` or
+``check_pair``; ``check_keys`` and ``config_kwargs`` find unknown and
+missing keys.  Each failure is a ConfigError naming the field.  The fv
+and the linear simulators share ``check_run_fields``, ``cell_grid``
+(cell centres and widths) and ``Recorder`` (which steps a run records).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import dataclasses
 import json
 import math
 import numbers
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -44,12 +47,10 @@ def state_to_doc(u: State) -> dict:
             "B": [float(u.B[0]), float(u.B[1])]}
 
 
-def state_from_doc(doc: dict) -> State:
-    check_keys(doc, ("h", "v", "B"), "state key")
-    try:
-        return State(h=doc["h"], v=doc["v"], B=doc["B"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed state document: {exc}") from exc
+def state_from_doc(doc: dict, name: str = "state") -> State:
+    check_keys(doc, ("h", "v", "B"), f"{name} key", required=("h", "v", "B"))
+    return State(h=check_number(doc["h"], f"{name} h"), v=check_pair(doc["v"], f"{name} v"),
+                 B=check_pair(doc["B"], f"{name} B"))
 
 
 def side_pair_to_doc(sp: SidePair) -> dict:
@@ -62,17 +63,15 @@ def side_pair_to_doc(sp: SidePair) -> dict:
 
 
 def side_pair_from_doc(doc: dict) -> SidePair:
-    check_keys(doc, ("plus", "minus", "front", "g"), "side-pair key")
+    check_keys(doc, ("plus", "minus", "front", "g"), "side-pair key", required=("plus", "minus"))
     front = check_keys(doc.get("front", {}), ("slope", "speed"), "front key")
-    try:
-        return SidePair(
-            plus=state_from_doc(doc["plus"]),
-            minus=state_from_doc(doc["minus"]),
-            front=FrontGeometry(**front),
-            params=PhysParams(g=doc.get("g", 1.0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed side-pair document: {exc}") from exc
+    return SidePair(
+        plus=state_from_doc(doc["plus"], "plus"),
+        minus=state_from_doc(doc["minus"], "minus"),
+        front=FrontGeometry(*(check_number(front.get(k, 0.0), f"front {k}")
+                              for k in ("slope", "speed"))),
+        params=PhysParams(g=check_number(doc.get("g", 1.0), "g")),
+    )
 
 
 def load_json(path: str | Path) -> dict:
@@ -90,73 +89,94 @@ def load_json(path: str | Path) -> dict:
     return doc
 
 
-def check_keys(doc, names: tuple[str, ...], what: str = "config key") -> dict:
-    """``doc`` itself if it is an object whose keys all lie in ``names``, else a ConfigError."""
+def check_keys(doc, names: tuple[str, ...], what: str = "config key",
+               required: tuple[str, ...] = ()) -> dict:
+    """``doc`` itself if it is an object whose keys all lie in ``names`` and
+    include ``required``, else a ConfigError naming the key."""
     if not isinstance(doc, dict):
         raise ConfigError(f"expected an object of {what}s, got {type(doc).__name__}")
     for key in doc:
         if key not in names:
             raise ConfigError(f"unknown {what} {key!r}; expected one of {names}")
+    for key in required:
+        if key not in doc:
+            raise ConfigError(f"missing {what} {key!r}")
     return doc
 
 
-def config_kwargs(cls, doc: dict, allowed: tuple[str, ...] = ()) -> dict:
+def config_kwargs(cls, doc: dict, allowed: tuple[str, ...] = (),
+                  required: tuple[str, ...] = ()) -> dict:
     """Keyword arguments for the dataclass ``cls`` from a config document.
 
-    A key that is neither a field of ``cls`` nor in ``allowed``, and a
-    field without a default that the document lacks, is a ConfigError
-    naming the key; omitted fields keep their dataclass default.
+    The document may hold the fields of ``cls`` and the keys ``allowed``
+    and ``required``.  It must hold ``required`` and every field without
+    a default; omitted fields keep their dataclass default.
     """
     fields = dataclasses.fields(cls)
     names = tuple(f.name for f in fields)
-    check_keys(doc, names + allowed)
-    for f in fields:
-        if f.name not in doc and f.default is dataclasses.MISSING \
-                and f.default_factory is dataclasses.MISSING:
-            raise ConfigError(f"missing config key {f.name!r}")
+    needed = tuple(f.name for f in fields if f.default is dataclasses.MISSING
+                   and f.default_factory is dataclasses.MISSING)
+    check_keys(doc, names + allowed + required, required=needed + required)
     return {name: doc[name] for name in names if name in doc}
 
 
-def check_float(value, name: str, lo=0.0, hi=math.inf, error=ConfigError) -> float:
-    """``value`` as a float; a non-number (a bool too) is a ConfigError, one outside
-    (lo, hi) ``error``."""
+def check_number(value, name: str) -> float:
+    """``value`` as a float (+-inf for an integer beyond the float range, as for a JSON
+    1e400); anything but a real number (a string, a bool) is a ConfigError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    if not lo < value < hi:
-        raise error(f"{name} must lie in ({lo:g}, {hi:g}), got {value}")
+    if isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max:
+        return math.inf if value > 0 else -math.inf
     return float(value)
 
 
+def check_float(value, name: str, lo=0.0, hi=math.inf, error=ConfigError) -> float:
+    """``check_number(value)``; a number outside (lo, hi) is ``error``."""
+    x = check_number(value, name)
+    if not lo < x < hi:
+        raise error(f"{name} must lie in ({lo:g}, {hi:g}), got {x}")
+    return x
+
+
 def check_count(value, name: str, lo: int) -> int:
-    """``int(value)``; a bool, a non-integral number or a count below ``lo`` is a ConfigError."""
-    if isinstance(value, bool) or (isinstance(value, numbers.Real)
-                                   and not float(value).is_integer()):
-        raise ConfigError(f"{name} must be a whole number, got {value}")
-    n = int(value)
-    if n < lo:
-        raise ConfigError(f"{name} must be at least {lo}, got {n}")
-    return n
+    """``check_number(value)`` as an int; a fraction or a count below ``lo`` is a ConfigError."""
+    x = check_number(value, name)
+    if not x.is_integer():
+        raise ConfigError(f"{name} must be a whole number, got {x}")
+    if x < lo:
+        raise ConfigError(f"{name} must be at least {lo}, got {int(x)}")
+    return int(x)
+
+
+def check_pair(value, name: str) -> tuple[float, float]:
+    """``value`` as two floats; anything but a list of two numbers is a ConfigError."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{name} must be a pair of numbers, got {value!r}")
+    return check_number(value[0], name), check_number(value[1], name)
 
 
 def check_run_fields(cfg, ndim: int) -> None:
     """Convert and check, in place, the run fields of the fv and linear configs.
 
-    ``cells`` become ``ndim`` whole numbers >= 8, ``extents`` ``ndim`` finite float
-    pairs (lo, hi) with hi > lo, ``end_time`` and ``output_interval``
-    (default end_time / 50) finite numbers > 0, and ``cfl`` a number in
+    ``cells`` (lists of ``ndim`` whole numbers >= 8) and ``extents`` (of finite pairs
+    (lo, hi), hi > lo) become tuples, ``end_time`` and ``output_interval`` (default
+    end_time / 50) finite numbers > 0 with a finite ratio, and ``cfl`` a number in
     (0, 1) (else a CflViolation).
     """
-    cfg.cells = tuple(check_count(n, "cells", 8) for n in np.atleast_1d(cfg.cells))
-    if len(cfg.cells) != ndim:
-        raise ConfigError(f"need {ndim} cell counts, got {cfg.cells}")
-    cfg.extents = tuple((float(lo), float(hi)) for lo, hi in np.atleast_2d(cfg.extents))
-    if len(cfg.extents) != ndim or not all(-math.inf < a < b < math.inf for a, b in cfg.extents):
+    for name in ("cells", "extents"):
+        if not isinstance(getattr(cfg, name), (list, tuple)) or len(getattr(cfg, name)) != ndim:
+            raise ConfigError(f"{name} must be a list of {ndim} entries, one per dimension")
+    cfg.cells = tuple(check_count(n, "cells", 8) for n in cfg.cells)
+    cfg.extents = tuple(check_pair(e, "extents") for e in cfg.extents)
+    if not all(-math.inf < a < b < math.inf for a, b in cfg.extents):
         raise ConfigError(f"need {ndim} finite extents [lo, hi] with hi > lo, got {cfg.extents}")
     cfg.end_time = check_float(cfg.end_time, "end_time")
     cfg.cfl = check_float(cfg.cfl, "cfl", hi=1.0, error=CflViolation)
     if cfg.output_interval is None:
         cfg.output_interval = cfg.end_time / 50.0
     cfg.output_interval = check_float(cfg.output_interval, "output_interval")
+    if not math.isfinite(cfg.end_time / cfg.output_interval):
+        raise ConfigError(f"output_interval {cfg.output_interval} is too small for the run")
 
 
 def cell_grid(cfg) -> tuple[list[np.ndarray], list[float]]:
@@ -183,8 +203,7 @@ class Recorder:
         """Keep the tuple ``row()`` if a record is due at time ``t``."""
         if final or t >= self.next_t - 1e-12:
             self.rows.append(row())
-            while self.next_t <= t + 1e-12:
-                self.next_t += self.interval
+            self.next_t = self.interval * (math.floor((t + 1e-12) / self.interval) + 1)
 
 
 def dump_json(doc: dict, path: str | Path | None = None) -> str:

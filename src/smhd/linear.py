@@ -32,7 +32,8 @@ import scipy.linalg as sla
 
 from .core import PhysParams
 from .errors import ConfigError, ConstraintViolation, LaxViolation
-from .ioutil import Recorder, cell_grid, check_float, check_keys, check_run_fields, config_kwargs
+from .ioutil import (Recorder, cell_grid, check_float, check_keys, check_pair, check_run_fields,
+                     config_kwargs)
 from .shock import LinearizedShockSetup, linearized_setup, rectilinear_shock
 
 Array = np.ndarray
@@ -40,6 +41,8 @@ Array = np.ndarray
 _SHOCK_KEYS = ("h_minus", "ratio", "b1_plus", "b2", "g")
 _PULSE_KEYS = ("center", "width", "p_amplitude", "v1_amplitude", "v2_amplitude",
                "potential_amplitude")
+# Largest accepted constraint residual of initial data, relative to their gradient scale.
+CONSTRAINT_TOL = 1e-8
 
 
 def system_matrices(setup: LinearizedShockSetup) -> tuple[Array, Array, Array]:
@@ -119,16 +122,12 @@ class LinearConfig:
         ``b2`` (default 0) and ``g`` (default 1); the other keys are the
         fields of LinearConfig.  Unknown or missing keys are ConfigErrors.
         """
-        kwargs = config_kwargs(LinearConfig, doc, allowed=("kind", "shock"))
-        try:
-            shock = check_keys(doc["shock"], _SHOCK_KEYS, "shock key")
-            h_minus, ratio, b1_plus = (float(shock[k]) for k in ("h_minus", "ratio", "b1_plus"))
-            b2, g = float(shock.get("b2", 0.0)), float(shock.get("g", 1.0))
-            cfg = LinearConfig(**kwargs)
-        except KeyError as exc:
-            raise ConfigError(f"missing config key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed config value: {exc}") from exc
+        kwargs = config_kwargs(LinearConfig, doc, allowed=("kind",), required=("shock",))
+        shock = {"b2": 0.0, "g": 1.0} | check_keys(doc["shock"], _SHOCK_KEYS, "shock key",
+                                                   required=_SHOCK_KEYS[:3])
+        h_minus, ratio, b1_plus, b2, g = (check_float(shock[k], f"shock {k}", -math.inf)
+                                          for k in _SHOCK_KEYS)
+        cfg = LinearConfig(**kwargs)
         params = PhysParams(g=g)
         return linearized_setup(rectilinear_shock(h_minus, ratio, b1_plus, b2, params), params), cfg
 
@@ -181,11 +180,8 @@ def make_constraint_pulse(cfg: LinearConfig, setup: LinearizedShockSetup) -> Arr
     (x0, x1), (y0, y1) = cfg.extents
     xx, yy = np.meshgrid(x, y, indexing="ij")
     doc = cfg.pulse
-    try:
-        cx, cy = doc.get("center", (0.5 * (x0 + x1), 0.5 * (y0 + y1)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"pulse center must be a pair of numbers: {exc}") from exc
-    cx, cy = (check_float(c, "pulse center", -math.inf) for c in (cx, cy))
+    center = check_pair(doc.get("center", (0.5 * (x0 + x1), 0.5 * (y0 + y1))), "pulse center")
+    cx, cy = (check_float(c, "pulse center", -math.inf) for c in center)
     w = check_float(doc.get("width", 0.1 * (x1 - x0)), "pulse width")
     r2 = ((xx - cx) ** 2 + (yy - cy) ** 2) / w**2
     bump = np.where(r2 < 16.0, np.exp(-r2), 0.0)
@@ -208,17 +204,13 @@ def make_constraint_pulse(cfg: LinearConfig, setup: LinearizedShockSetup) -> Arr
     return u
 
 
-def linear_halfplane_simulate(
-    setup: LinearizedShockSetup,
-    cfg: LinearConfig,
-    u0: Array | None = None,
-    constraint_tol: float = 1e-8,
-) -> LinearResult:
+def linear_halfplane_simulate(setup: LinearizedShockSetup, cfg: LinearConfig,
+                              u0: Array | None = None) -> LinearResult:
     """Evolve the linearized problem and record the estimate norms.
 
     ``u0`` defaults to a constraint-compliant pulse built from
     ``cfg.pulse``.  Initial data violating the divergence-type
-    restriction beyond ``constraint_tol`` (relative, scaled by the
+    restriction beyond ``CONSTRAINT_TOL`` (relative, scaled by the
     gradient magnitude of the data) are rejected.
     """
     n1, n2 = cfg.cells
@@ -232,7 +224,7 @@ def linear_halfplane_simulate(
 
     res = constraint_residual(u, setup, dx, dy)
     scale = max(1.0, float(np.max(np.abs(u)))) / min(dx, dy)
-    if float(np.max(np.abs(res))) > constraint_tol * scale:
+    if float(np.max(np.abs(res))) > CONSTRAINT_TOL * scale:
         raise ConstraintViolation(
             f"initial data violate the field constraint: max residual "
             f"{float(np.max(np.abs(res))):.3e} at scale {scale:.3e}"

@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import FrontGeometry, State
 from .errors import ConfigError
-from .ioutil import check_count, check_keys, fmt, write_rows_csv
+from .ioutil import check_count, check_keys, check_number, fmt, write_rows_csv
 from .jumps import KIND_SHOCK, kind_code, side_traces
 from .shock import lax_kernel, rectilinear_family
 from .symmetrization import (
@@ -49,6 +49,10 @@ _COLORS = {
     CODE_INVALID: "#404040",
 }
 
+_AXIS_KEYS = ("name", "min", "max", "count")
+# Side of one grid cell and width of the frame around the map, in SVG pixels.
+CELL_PX, MARGIN_PX = 4, 46
+
 _NSC_CURVE_NAMES = ("a=b", "a=sqrt(b2+G)-b", "a=sqrt(b2+G)", "a=b*sqrt((b2+2G)/(b2+G))",
                     "a=2b", "a=2*sqrt(b2+2G)")
 
@@ -70,8 +74,10 @@ class Axis:
     count: int
 
     def __post_init__(self):
-        self.lo = float(self.lo)
-        self.hi = float(self.hi)
+        if not isinstance(self.name, str):
+            raise ConfigError(f"axis name must be a string, got {self.name!r}")
+        self.lo = check_number(self.lo, f"axis {self.name!r} min")
+        self.hi = check_number(self.hi, f"axis {self.name!r} max")
         self.count = check_count(self.count, f"axis {self.name!r} count", 2)
         if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.hi > self.lo):
             raise ConfigError(f"axis {self.name!r} has an invalid range [{self.lo}, {self.hi}]")
@@ -89,35 +95,24 @@ class SweepSpec:
     fixed: dict
 
     def __post_init__(self):
-        if self.verdict not in _PARAMETERS:
+        if not isinstance(self.verdict, str) or self.verdict not in _PARAMETERS:
             raise ConfigError(f"unknown verdict {self.verdict!r}; "
                               f"expected one of {tuple(_PARAMETERS)}")
         if self.x_axis.name == self.y_axis.name:
             raise ConfigError(f"x and y axes are both {self.x_axis.name!r}")
         names, what = tuple(_PARAMETERS[self.verdict]), f"{self.verdict} sweep parameter"
         check_keys(dict.fromkeys((self.x_axis.name, self.y_axis.name)), names, what)
-        check_keys(self.fixed, names, what)
-        if any(isinstance(value, bool) for value in self.fixed.values()):
-            raise ConfigError(f"fixed sweep parameters must be numbers, got {self.fixed}")
-        try:
-            self.fixed = {name: float(value) for name, value in self.fixed.items()}
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"non-numeric fixed sweep parameter: {exc}") from exc
+        self.fixed = {name: check_number(value, f"fixed {name}")
+                      for name, value in check_keys(self.fixed, names, what).items()}
 
     @staticmethod
     def from_dict(doc: dict) -> "SweepSpec":
-        check_keys(doc, ("verdict", "x_axis", "y_axis", "fixed"), "sweep spec key")
-        try:
-            ax, ay = (check_keys(doc[axis], ("name", "min", "max", "count"), f"{axis} key")
-                      for axis in ("x_axis", "y_axis"))
-            return SweepSpec(
-                verdict=doc["verdict"],
-                x_axis=Axis(ax["name"], ax["min"], ax["max"], ax["count"]),
-                y_axis=Axis(ay["name"], ay["min"], ay["max"], ay["count"]),
-                fixed=doc.get("fixed", {}),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed sweep spec: {exc}") from exc
+        keys = ("verdict", "x_axis", "y_axis")
+        check_keys(doc, (*keys, "fixed"), "sweep spec key", required=keys)
+        ax, ay = (check_keys(doc[axis], _AXIS_KEYS, f"{axis} key", required=_AXIS_KEYS)
+                  for axis in ("x_axis", "y_axis"))
+        return SweepSpec(verdict=doc["verdict"], x_axis=Axis(*(ax[k] for k in _AXIS_KEYS)),
+                         y_axis=Axis(*(ay[k] for k in _AXIS_KEYS)), fixed=doc.get("fixed", {}))
 
 
 def symmetric_pair(v2_jump: float, b2_plus: float, h: float) -> tuple[State, State]:
@@ -215,20 +210,19 @@ def _nsc_exception_curves(spec: SweepSpec) -> list[tuple[str, np.ndarray, np.nda
             for sign in (1.0, -1.0)]
 
 
-def sweep_svg(spec: SweepSpec, codes: np.ndarray, path: str | Path,
-              cell_px: int = 4, margin_px: int = 46) -> None:
+def sweep_svg(spec: SweepSpec, codes: np.ndarray, path: str | Path) -> None:
     """Self-contained heatmap; one documented metadata comment line."""
     nx, ny = codes.shape
-    width = nx * cell_px + 2 * margin_px
-    height = ny * cell_px + 2 * margin_px
+    width = nx * CELL_PX + 2 * MARGIN_PX
+    height = ny * CELL_PX + 2 * MARGIN_PX
     xs = spec.x_axis
     ys = spec.y_axis
 
     def px(xv: float) -> float:
-        return margin_px + (xv - xs.lo) / (xs.hi - xs.lo) * nx * cell_px
+        return MARGIN_PX + (xv - xs.lo) / (xs.hi - xs.lo) * nx * CELL_PX
 
     def py(yv: float) -> float:
-        return height - margin_px - (yv - ys.lo) / (ys.hi - ys.lo) * ny * cell_px
+        return height - MARGIN_PX - (yv - ys.lo) / (ys.hi - ys.lo) * ny * CELL_PX
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -240,8 +234,8 @@ def sweep_svg(spec: SweepSpec, codes: np.ndarray, path: str | Path,
     for code in sorted(set(codes.ravel().tolist())):
         color = _COLORS.get(int(code), "#000000")
         ii, jj = np.nonzero(codes == code)
-        cells = "".join(f'M{margin_px + i * cell_px} {height - margin_px - (j + 1) * cell_px}'
-                        f'h{cell_px}v{cell_px}h-{cell_px}z'
+        cells = "".join(f'M{MARGIN_PX + i * CELL_PX} {height - MARGIN_PX - (j + 1) * CELL_PX}'
+                        f'h{CELL_PX}v{CELL_PX}h-{CELL_PX}z'
                         for i, j in zip(ii.tolist(), jj.tolist()))
         parts.append(f'<path d="{cells}" fill="{color}"/>')
     if spec.verdict == "cvs-nsc":

@@ -36,6 +36,9 @@ from .jumps import DEFAULT_TOL
 # Default margin epsilon of the sufficient condition (CLI and sweeps).
 DEFAULT_EPSILON = 1e-6
 
+# Relative tolerance of the constraint checks in boundary_energy_term.
+BOUNDARY_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class SecondaryMatrices:
@@ -375,7 +378,6 @@ def boundary_energy_term(
     pert_minus: np.ndarray,
     slope_perturbation: float,
     params: PhysParams,
-    tol: float = 1e-8,
 ) -> float:
     """Boundary integrand of the energy identity for trace perturbations.
 
@@ -398,20 +400,21 @@ def boundary_energy_term(
     back_scale = max(1.0, abs(hat_plus.v[1]), abs(hat_minus.v[1]),
                      abs(hat_plus.B[1]), abs(hat_minus.B[1]))
     if max(abs(hat_plus.v[0]), abs(hat_minus.v[0]),
-           abs(hat_plus.B[0]), abs(hat_minus.B[0])) > tol * back_scale:
+           abs(hat_plus.B[0]), abs(hat_minus.B[0])) > BOUNDARY_TOL * back_scale:
         raise ConstraintViolation("background must be a rectilinear sheet: "
                                   "zero normal velocity and field")
-    if abs(hat_plus.h - hat_minus.h) > tol * max(1.0, hat_plus.h):
+    if abs(hat_plus.h - hat_minus.h) > BOUNDARY_TOL * max(1.0, hat_plus.h):
         raise HeightMismatch("background heights differ")
 
     scale = max(1.0, float(np.max(np.abs(up))), float(np.max(np.abs(um))), abs(s)) * back_scale
-    if abs(up[0] - um[0]) > tol * scale:
+    if abs(up[0] - um[0]) > BOUNDARY_TOL * scale:
         raise ConstraintViolation("trace perturbations violate [h] = 0")
     speed_p = up[1] - hat_plus.v[1] * s
     speed_m = um[1] - hat_minus.v[1] * s
-    if abs(speed_p - speed_m) > tol * scale:
+    if abs(speed_p - speed_m) > BOUNDARY_TOL * scale:
         raise ConstraintViolation("trace perturbations define two different front speeds")
-    if abs(up[3] - hat_plus.B[1] * s) > tol * scale or abs(um[3] - hat_minus.B[1] * s) > tol * scale:
+    if abs(up[3] - hat_plus.B[1] * s) > BOUNDARY_TOL * scale or \
+            abs(um[3] - hat_minus.B[1] * s) > BOUNDARY_TOL * scale:
         raise ConstraintViolation("trace perturbations violate the linearized field constraint")
 
     qp = secondary_matrices(hat_plus, choice.lambda_plus, params).B1

@@ -251,7 +251,7 @@ def test_simulate_malformed_value_exit_1(tmp_path, capsys):
                                         "state": {"h": 1, "v": [0, 0], "B": [0, 0]}}}
     assert main(["simulate", "--config", _write(tmp_path, "c.json", cfg),
                  "--out", str(tmp_path)]) == 1
-    assert "malformed config value" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("simulate: cells must be a number")
 
 
 def test_simulate_cfl_violation_exit_4(tmp_path, capsys):
@@ -406,6 +406,40 @@ BAD_INPUTS = {
     "sweep-axis-count-text": (["sweep", "--spec"], _with(LAX_SWEEP, ("x_axis",), count="ab")),
 }
 
+SIMULATE, SWEEP = ["simulate", "--config"], ["sweep", "--spec"]
+INITIAL, X_AXIS = ("initial",), ("x_axis",)
+
+# name -> (argv, document, the field its one stderr line names): a value of the wrong
+# type (a JSON string or boolean is never a number) or out of its range
+BAD_VALUES = {
+    "fv-dimensions-true": (SIMULATE, _with(RIEMANN_1D, dimensions=True), "dimensions"),
+    "fv-g-true": (SIMULATE, _with(RIEMANN_1D, g=True), "g"),
+    "fv-g-infinite": (SIMULATE, _with(RIEMANN_1D, g=float("inf")), "g"),
+    "fv-end-time-huge-integer": (SIMULATE, _with(RIEMANN_1D, end_time=10**400), "end_time"),
+    "classify-g-huge-integer": (["classify", "--input"], _with(RATIONAL_PAIR, g=10**400),
+                                "gravitational acceleration"),
+    "perturbed-shock-wavelengths-fraction": (SIMULATE, _with(SHOCK_2D, INITIAL, wavelengths=1.5),
+                                             "wavelengths"),
+    "perturbed-shock-wavelengths-true": (SIMULATE, _with(SHOCK_2D, INITIAL, wavelengths=True),
+                                         "wavelengths"),
+    "perturbed-shock-amplitude-text": (SIMULATE, _with(SHOCK_2D, INITIAL, amplitude="0.01"),
+                                       "amplitude"),
+    "perturbed-shock-front-position-text": (SIMULATE,
+                                            _with(SHOCK_2D, INITIAL, front_position="2"),
+                                            "front_position"),
+    "riemann-interface-true": (SIMULATE, _with(RIEMANN_1D, INITIAL, interface=True), "interface"),
+    "vortex-h0-text": (SIMULATE, _with(VORTEX_2D, INITIAL, h0="1"), "h0"),
+    "vortex-h0-true": (SIMULATE, _with(VORTEX_2D, INITIAL, h0=True), "h0"),
+    "fv-state-h-true": (SIMULATE, _with(RIEMANN_1D, MINUS, h=True), "minus h"),
+    "linear-ratio-text": (SIMULATE, _with(LINEAR_RUN, ("shock",), ratio="2"), "ratio"),
+    "linear-g-true": (SIMULATE, _with(LINEAR_RUN, ("shock",), g=True), "g"),
+    "linear-b2-nan": (SIMULATE, _with(LINEAR_RUN, ("shock",), b2=NAN), "b2"),
+    "sweep-axis-min-true": (SWEEP, _with(LAX_SWEEP, X_AXIS, min=True), "min"),
+    "sweep-axis-min-number-text": (SWEEP, _with(LAX_SWEEP, X_AXIS, min="0.5"), "min"),
+    "sweep-fixed-g-text": (SWEEP, _with(LAX_SWEEP, fixed={"g": "1"}), "fixed g"),
+}
+BAD_INPUTS.update({name: (argv, doc) for name, (argv, doc, _) in BAD_VALUES.items()})
+
 
 def _argv(tmp_path, argv, doc):
     return argv if doc is None else [*argv, _write(tmp_path, "input.json", doc)]
@@ -418,10 +452,27 @@ def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv, doc):
     assert len(err) == 1 and err[0].startswith(f"{argv[0]}: ")
 
 
+@pytest.mark.parametrize("argv, doc, field", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+def test_bad_value_names_its_field(tmp_path, capsys, argv, doc, field):
+    assert main([*_argv(tmp_path, argv, doc), "--out", str(tmp_path)]) == 1
+    assert f"{field} must" in capsys.readouterr().err
+
+
+def test_tiny_output_interval_records_every_step(tmp_path):
+    # an interval far below dt records once per step instead of stalling the cadence
+    doc = _with(RIEMANN_1D, cells=[16], output_interval=1e-300)
+    proc = subprocess.run([sys.executable, "-m", "smhd.cli", *_argv(tmp_path, SIMULATE, doc),
+                           "--out", str(tmp_path)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    steps = int(re.search(r"run: (\d+) steps", proc.stdout).group(1))
+    rows = (tmp_path / "timeseries.csv").read_text().splitlines()[1:]
+    assert len(rows) == steps + 1
+
+
 def test_bad_input_prints_no_traceback(tmp_path):
     for name, message in [("linear-lax-violation", "simulate: Froude window violated"),
                           ("pulse-center-number", "simulate: pulse center must be a pair"),
-                          ("vortex-lx-zero", "simulate: vortex lx and ly must be positive")]:
+                          ("vortex-lx-zero", "simulate: vortex lx must lie in (0, inf)")]:
         argv, doc = BAD_INPUTS[name]
         proc = subprocess.run([sys.executable, "-m", "smhd.cli", *_argv(tmp_path, argv, doc),
                                "--out", str(tmp_path)], capture_output=True, text=True)

@@ -263,7 +263,7 @@ def test_sweep_csv_matches_generic_writer(tmp_path):
 def test_sweep_svg_cells_in_row_major_order(tmp_path):
     spec = _spec(*GRIDS[3])
     codes, _ = run_sweep(spec)
-    sweep_svg(spec, codes, tmp_path / "sweep.svg", cell_px=4, margin_px=46)
+    sweep_svg(spec, codes, tmp_path / "sweep.svg")
     text = (tmp_path / "sweep.svg").read_text()
     height = codes.shape[1] * 4 + 2 * 46
     for code in np.unique(codes):
