@@ -45,8 +45,9 @@ import numpy as np
 from .core import (PhysParams, State, axis_flux, conserved_from_primitive, fast_speed, fluxes,
                    normal_speeds)
 from .errors import CflViolation, ConfigError, NonFiniteState, PositivityLoss
-from .ioutil import (Recorder, cell_grid, check_count, check_float, check_keys, check_number,
-                     check_pair, check_run_fields, config_kwargs, state_from_doc, state_to_doc)
+from .ioutil import (MAX_CELLS, Recorder, cell_grid, check_count, check_float, check_keys,
+                     check_number, check_pair, check_run_fields, config_kwargs, state_from_doc,
+                     state_to_doc)
 from .shock import RectilinearShock
 
 Array = np.ndarray
@@ -216,9 +217,7 @@ class SimConfig:
     dt_fixed: float | None = None
 
     def __post_init__(self):
-        self.dimensions = check_count(self.dimensions, "dimensions", 1)
-        if self.dimensions > 2:
-            raise ConfigError(f"dimensions must be 1 or 2, got {self.dimensions}")
+        self.dimensions = check_count(self.dimensions, "dimensions", 1, 2)
         check_run_fields(self, self.dimensions)
         self.g = check_float(self.g, "g")
         if isinstance(self.boundary_x1, str):
@@ -307,7 +306,7 @@ def _initial_data(cfg: SimConfig) -> _InitialData:
     else:
         x_if = check_number(doc["front_position"], "front_position")
         amp = check_number(doc.get("amplitude", 0.0), "amplitude")
-        wavelengths = check_count(doc.get("wavelengths", 1), "wavelengths", 1)
+        wavelengths = check_count(doc.get("wavelengths", 1), "wavelengths", 1, MAX_CELLS)
         (y0, y1) = cfg.extents[1]
         k = 2.0 * math.pi * wavelengths / (y1 - y0)
         front = x_if + amp * np.cos(k * (centers[1] - y0))

@@ -35,6 +35,8 @@ from .jumps import SidePair
 
 # Rows per .tolist() block of write_rows_csv.
 CSV_BLOCK_ROWS = 1024
+# Most cells a run config may hold, over all its dimensions (1024 x 1024).
+MAX_CELLS = 2**20
 
 
 def fmt(x: float) -> str:
@@ -138,13 +140,14 @@ def check_float(value, name: str, lo=0.0, hi=math.inf, error=ConfigError) -> flo
     return x
 
 
-def check_count(value, name: str, lo: int) -> int:
-    """``check_number(value)`` as an int; a fraction or a count below ``lo`` is a ConfigError."""
+def check_count(value, name: str, lo: int, hi: int) -> int:
+    """``check_number(value)`` as an int; a fraction or a count outside [lo, hi] is a
+    ConfigError."""
     x = check_number(value, name)
     if not x.is_integer():
         raise ConfigError(f"{name} must be a whole number, got {x}")
-    if x < lo:
-        raise ConfigError(f"{name} must be at least {lo}, got {int(x)}")
+    if not lo <= x <= hi:
+        raise ConfigError(f"{name} must lie in [{lo}, {hi}], got {x:g}")
     return int(x)
 
 
@@ -158,15 +161,17 @@ def check_pair(value, name: str) -> tuple[float, float]:
 def check_run_fields(cfg, ndim: int) -> None:
     """Convert and check, in place, the run fields of the fv and linear configs.
 
-    ``cells`` (lists of ``ndim`` whole numbers >= 8) and ``extents`` (of finite pairs
-    (lo, hi), hi > lo) become tuples, ``end_time`` and ``output_interval`` (default
-    end_time / 50) finite numbers > 0 with a finite ratio, and ``cfl`` a number in
-    (0, 1) (else a CflViolation).
+    ``cells`` (lists of ``ndim`` whole numbers >= 8, at most ``MAX_CELLS`` in all) and
+    ``extents`` (of finite pairs (lo, hi), hi > lo) become tuples, ``end_time`` and
+    ``output_interval`` (default end_time / 50) finite numbers > 0 with a finite ratio,
+    and ``cfl`` a number in (0, 1) (else a CflViolation).
     """
     for name in ("cells", "extents"):
         if not isinstance(getattr(cfg, name), (list, tuple)) or len(getattr(cfg, name)) != ndim:
             raise ConfigError(f"{name} must be a list of {ndim} entries, one per dimension")
-    cfg.cells = tuple(check_count(n, "cells", 8) for n in cfg.cells)
+    cfg.cells = tuple(check_count(n, "cells", 8, MAX_CELLS) for n in cfg.cells)
+    if math.prod(cfg.cells) > MAX_CELLS:
+        raise ConfigError(f"cells must hold at most {MAX_CELLS} cells, got {list(cfg.cells)}")
     cfg.extents = tuple(check_pair(e, "extents") for e in cfg.extents)
     if not all(-math.inf < a < b < math.inf for a, b in cfg.extents):
         raise ConfigError(f"need {ndim} finite extents [lo, hi] with hi > lo, got {cfg.extents}")

@@ -28,10 +28,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .core import PhysParams
-from .errors import ConfigError, ConstraintViolation, LaxViolation
+from .errors import ConfigError, ConstraintViolation, LaxViolation, NonFiniteState
 from .ioutil import (Recorder, cell_grid, check_float, check_keys, check_pair, check_run_fields,
                      config_kwargs)
 from .shock import LinearizedShockSetup, linearized_setup, rectilinear_shock
@@ -43,6 +42,8 @@ _PULSE_KEYS = ("center", "width", "p_amplitude", "v1_amplitude", "v2_amplitude",
                "potential_amplitude")
 # Largest accepted constraint residual of initial data, relative to their gradient scale.
 CONSTRAINT_TOL = 1e-8
+# Most time steps a run may take (ACCEPT-11's 400x64 run takes ~3.4k).
+MAX_STEPS = 100_000
 
 
 def system_matrices(setup: LinearizedShockSetup) -> tuple[Array, Array, Array]:
@@ -86,12 +87,29 @@ def boundary_condition_matrix(setup: LinearizedShockSetup) -> Array:
 
 def _upwind_split(a: Array, a0: Array) -> tuple[Array, Array, Array, Array, Array]:
     """Eigen-split G = A0^-1 A into G+ and G-, the eigenbasis, its inverse and the
-    ascending eigenvalues."""
-    lam, vecs = sla.eigh(a, a0)
+    ascending eigenvalues.  A0 is diagonal and positive, so with S = A0^-1/2 the
+    eigenbasis of the pencil (A, A0) is S W, where S A S = W diag(lam) W^T."""
+    s = 1.0 / np.sqrt(np.diag(a0))
+    lam, w = np.linalg.eigh(s[:, None] * a * s)
+    vecs = s[:, None] * w
     inv = vecs.T @ a0
-    g_plus = vecs @ np.diag(np.maximum(lam, 0.0)) @ inv
-    g_minus = vecs @ np.diag(np.minimum(lam, 0.0)) @ inv
-    return g_plus, g_minus, vecs, inv, lam
+    return (vecs * np.maximum(lam, 0.0)) @ inv, (vecs * np.minimum(lam, 0.0)) @ inv, vecs, inv, lam
+
+
+def _fill_differences(d: Array, u: Array, ub: Array) -> None:
+    """Fill ``d`` (4, 5, n1, n2) with the x1 backward (ghost ``ub``), x1 forward (zero-gradient
+    ghost), x2 backward and x2 forward (periodic) differences of ``u``: one operation over
+    the flat arrays each, then the entries that wrap across a row or field are reset."""
+    n2 = u.shape[2]
+    uf, (d0, d1, d2, d3) = u.reshape(-1), d.reshape(4, -1)
+    np.subtract(uf[n2:], uf[:-n2], out=d0[n2:])
+    np.subtract(u[:, 0], ub, out=d[0, :, 0])
+    d1[:-n2] = d0[n2:]
+    d[1, :, -1] = 0.0
+    np.subtract(uf[1:], uf[:-1], out=d2[1:])
+    np.subtract(u[..., 0], u[..., -1], out=d[2, ..., 0])
+    d3[:-1] = d2[1:]
+    d[3, ..., -1] = d[2, ..., 0]
 
 
 @dataclass
@@ -183,7 +201,7 @@ def make_constraint_pulse(cfg: LinearConfig, setup: LinearizedShockSetup) -> Arr
     center = check_pair(doc.get("center", (0.5 * (x0 + x1), 0.5 * (y0 + y1))), "pulse center")
     cx, cy = (check_float(c, "pulse center", -math.inf) for c in center)
     w = check_float(doc.get("width", 0.1 * (x1 - x0)), "pulse width")
-    r2 = ((xx - cx) ** 2 + (yy - cy) ** 2) / w**2
+    r2 = ((xx - cx) / w) ** 2 + ((yy - cy) / w) ** 2
     bump = np.where(r2 < 16.0, np.exp(-r2), 0.0)
 
     def amplitude(key: str, default: float) -> float:
@@ -208,27 +226,24 @@ def linear_halfplane_simulate(setup: LinearizedShockSetup, cfg: LinearConfig,
                               u0: Array | None = None) -> LinearResult:
     """Evolve the linearized problem and record the estimate norms.
 
-    ``u0`` defaults to a constraint-compliant pulse built from
-    ``cfg.pulse``.  Initial data violating the divergence-type
-    restriction beyond ``CONSTRAINT_TOL`` (relative, scaled by the
-    gradient magnitude of the data) are rejected.
+    ``u0`` defaults to a constraint-compliant pulse built from ``cfg.pulse``.
+    Rejected are initial data violating the divergence-type restriction beyond
+    ``CONSTRAINT_TOL`` (relative, scaled by their gradient magnitude) and runs of
+    more than ``MAX_STEPS`` steps.  A non-finite recorded norm raises
+    NonFiniteState; NaN and inf persist, so the final record catches them.
     """
     n1, n2 = cfg.cells
     centers, (dx, dy) = cell_grid(cfg)
 
-    if u0 is None:
-        u0 = make_constraint_pulse(cfg, setup)
-    u = np.array(u0, dtype=float)
+    u = np.array(make_constraint_pulse(cfg, setup) if u0 is None else u0, dtype=float, order="C")
     if u.shape != (5, n1, n2):
         raise ConfigError(f"initial data must have shape (5, {n1}, {n2})")
 
-    res = constraint_residual(u, setup, dx, dy)
+    res = float(np.max(np.abs(constraint_residual(u, setup, dx, dy))))
     scale = max(1.0, float(np.max(np.abs(u)))) / min(dx, dy)
-    if float(np.max(np.abs(res))) > CONSTRAINT_TOL * scale:
-        raise ConstraintViolation(
-            f"initial data violate the field constraint: max residual "
-            f"{float(np.max(np.abs(res))):.3e} at scale {scale:.3e}"
-        )
+    if res > CONSTRAINT_TOL * scale:
+        raise ConstraintViolation(f"initial data violate the field constraint: max residual "
+                                  f"{res:.3e} at scale {scale:.3e}")
 
     a0, a1, a2 = system_matrices(setup)
     g1p, g1m, vecs, vinv, lam1 = _upwind_split(a1, a0)
@@ -236,85 +251,70 @@ def linear_halfplane_simulate(setup: LinearizedShockSetup, cfg: LinearConfig,
     if not (lam1[0] < 0.0 < lam1[1]):
         raise LaxViolation("expected exactly one outgoing characteristic at x1 = 0")
 
-    # boundary solve: U_b = v_out w_out + V_in w_in with C U_b = rhs
-    cmat = boundary_condition_matrix(setup)
-    v_out = vecs[:, :1]
-    v_in = vecs[:, 1:]
-    m4 = cmat @ v_in
-    lu, piv = sla.lu_factor(m4)
-    c_out = (cmat @ v_out).ravel()
-
     smax1, smax2 = (float(np.max(np.abs(lam))) for lam in (lam1, lam2))
     dt = cfg.cfl / (smax1 / dx + smax2 / dy)
+    if not cfg.end_time <= MAX_STEPS * dt:
+        raise ConfigError(f"the run needs more than MAX_STEPS = {MAX_STEPS} time steps "
+                          f"(CFL step {dt:.3g} for end_time {cfg.end_time:g})")
     n_steps = max(1, int(math.ceil(cfg.end_time / dt)))
     dt = cfg.end_time / n_steps
 
+    # boundary state U_b = v_out w_out + V_in w_in with w_out = vinv[0] U(x1 = 0) and
+    # C U_b = (0, -(1-R) d2 phi, 0, 0), solved once: U_b = B_u U(x1 = 0) + b_phi d2 phi
     r = setup.ratio
+    cmat = boundary_condition_matrix(setup)
+    v_out, v_in = vecs[:, 0], vecs[:, 1:]
+    sol = np.linalg.solve(cmat @ v_in, np.column_stack([cmat @ v_out, [0.0, r - 1.0, 0.0, 0.0]]))
+    b_u, b_phi = np.outer(v_out - v_in @ sol[:, 0], vinv[0]), v_in @ sol[:, 1]
+
     # front evolution: dt phi = (ell0/M^2) d2 phi - a0 p_b / (1 - R)
     phi_drift, phi_pb = setup.ell0 / setup.froude**2, setup.a0 / (1.0 - r)
     rec = Recorder(cfg.output_interval)
-    p_triple: list[Array] = []
-    p_triple_time = None
+    p_triple, p_triple_time = [], None
     triple_armed = cfg.wave_check_time is not None
-
-    def boundary_state(dphi: Array) -> Array:
-        """Solve the four boundary relations for the ghost state per row, given d2 phi."""
-        w_out = (vinv @ u[:, 0, :].reshape(5, n2))[0]           # outgoing amplitude
-        rhs = np.zeros((4, n2))
-        rhs[1] = -(1.0 - r) * dphi
-        rhs -= np.outer(c_out, w_out)
-        w_in = sla.lu_solve((lu, piv), rhs)
-        return v_out @ w_out[None, :] + v_in @ w_in
 
     def row() -> tuple:
         vol = dx * dy
-        du1 = np.diff(u, axis=1)
-        du2 = np.roll(u, -1, axis=2) - u
+        _fill_differences(d, u, ub)  # x1 forward differences d[0, :, 1:], x2 forward d[3]
         l2 = math.sqrt(float(np.sum(u * u)) * vol)
-        h1 = math.sqrt(float(np.sum(u * u) + np.sum(du1 * du1) + np.sum(du2 * du2)) * vol)
+        h1 = math.sqrt(float(np.sum(u * u) + np.sum(d[0, :, 1:] ** 2) + np.sum(d[3] ** 2)) * vol)
         dub = np.roll(ub, -1, axis=1) - ub
         tr = math.sqrt(float(np.sum(ub * ub) + np.sum(dub * dub)) * dy)
         dphi = np.roll(phi, -1) - phi
         fr = math.sqrt(float(np.sum(phi * phi) + np.sum(dphi * dphi)) * dy)
         en = float(np.einsum("ixy,ij,jxy->", u, a0, u)) * vol
+        if not all(map(math.isfinite, (l2, h1, tr, fr, en))):
+            raise NonFiniteState(t, f"the solution norms became non-finite at t={t:.6g}")
         return t, l2, h1, tr, fr, en
 
+    # one upwind step is u -= K D, D the differences of u and K = dt/dx G1+-, dt/dy G2+-
+    k = np.hstack([dt / dx * g1p, dt / dx * g1m, dt / dy * g2p, dt / dy * g2m])
+    d = np.empty((4, 5, n1, n2))
+    u_cols, d_cols, flux = u.reshape(5, -1), d.reshape(20, -1), np.empty((5, n1 * n2))
     # phi, its central difference d2 phi and the boundary state of the current u and phi
     phi = dphi = np.zeros(n2)
-    ub = boundary_state(dphi)
+    ub = b_u @ u[:, 0, :]
     t = 0.0
-    rec.offer(t, False, row)
-
-    for step in range(n_steps):
-        # x1 sweep: ghost = boundary state on the left, zero-gradient right
-        ug = np.concatenate([ub[:, None, :], u, u[:, -1:, :]], axis=1)
-        dm1 = ug[:, 1:-1, :] - ug[:, :-2, :]
-        dp1 = ug[:, 2:, :] - ug[:, 1:-1, :]
-        flux1 = np.einsum("ij,jxy->ixy", g1p, dm1) + np.einsum("ij,jxy->ixy", g1m, dp1)
-
-        # x2 sweep: periodic
-        dm2 = u - np.roll(u, 1, axis=2)
-        dp2 = np.roll(u, -1, axis=2) - u
-        flux2 = np.einsum("ij,jxy->ixy", g2p, dm2) + np.einsum("ij,jxy->ixy", g2m, dp2)
-
-        u = u - (dt / dx) * flux1 - (dt / dy) * flux2
-        phi = phi + dt * (phi_drift * dphi - phi_pb * ub[0])
-        dphi = (np.roll(phi, -1) - np.roll(phi, 1)) / (2.0 * dy)
-        ub = boundary_state(dphi)
-
-        t += dt
-        if triple_armed and t >= cfg.wave_check_time:
-            p_triple.append(u[0].copy())
-            if len(p_triple) == 3:
-                triple_armed = False
-                p_triple_time = t - dt  # time level of the middle snapshot
-        rec.offer(t, step == n_steps - 1, row)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec.offer(t, False, row)
+        for step in range(n_steps):
+            _fill_differences(d, u, ub)
+            u_cols -= np.matmul(k, d_cols, out=flux)
+            phi = phi + dt * (phi_drift * dphi - phi_pb * ub[0])
+            dphi = (np.roll(phi, -1) - np.roll(phi, 1)) / (2.0 * dy)
+            ub = b_u @ u[:, 0, :] + np.outer(b_phi, dphi)
+            t += dt
+            if triple_armed and t >= cfg.wave_check_time:
+                p_triple.append(u[0].copy())
+                if len(p_triple) == 3:
+                    triple_armed = False
+                    p_triple_time = t - dt  # time level of the middle snapshot
+            rec.offer(t, step == n_steps - 1, row)
 
     # each recorded row holds the norm series of LinearResult in field order
     return LinearResult(
         *np.array(rec.rows).T,
-        u_final=u,
-        phi_final=phi,
+        u_final=u, phi_final=phi,
         p_triple=np.array(p_triple) if len(p_triple) == 3 else None,
         p_triple_time=p_triple_time,
         dt=dt,

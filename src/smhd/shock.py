@@ -17,6 +17,7 @@ conditions.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -276,14 +277,23 @@ def rectilinear_shock(
     b2: float,
     params: PhysParams,
 ) -> RectilinearShock:
-    """Construct the stationary rectilinear shock from (h-, h+/h-, B1+, B2)."""
+    """Construct the stationary rectilinear shock from (h-, h+/h-, B1+, B2);
+    a derived value that is not finite is an InvalidParameter."""
     if ratio == 1.0:
         raise InvalidRatio("height ratio 1 admits no shock")
     if not (ratio > 0.0 and h_minus > 0.0):
         raise InvalidRatio(f"need positive heights, got h_minus={h_minus}, ratio={ratio}")
     if not b1_plus > 0.0:
         raise InvalidParameter("normalization requires B1+ > 0")
-    return rectilinear_family(h_minus, ratio, b1_plus, b2, params.g)
+    return _finite(rectilinear_family(h_minus, ratio, b1_plus, b2, params.g))
+
+
+def _finite(values):
+    """The dataclass ``values`` if each of its fields is finite, else InvalidParameter."""
+    for name, x in dataclasses.asdict(values).items():
+        if not math.isfinite(x):
+            raise InvalidParameter(f"the shock's {name} = {x} is not finite")
+    return values
 
 
 def rectilinear_family(h_minus, ratio, b1_plus, b2, g) -> RectilinearShock:
@@ -322,7 +332,8 @@ def linearized_setup(shock: RectilinearShock, params: PhysParams) -> LinearizedS
     """Dimensionless linearization coefficients of an admissible shock.
 
     Raises LaxViolation unless m1 < M < m_star, which for this family is
-    equivalent to a height ratio above one.
+    equivalent to a height ratio above one, and InvalidParameter when a
+    coefficient is not finite (a0 overflows for a ratio of 1e300).
     """
     g = params.g
     c_plus = math.sqrt(g * shock.h_plus)
@@ -336,7 +347,7 @@ def linearized_setup(shock: RectilinearShock, params: PhysParams) -> LinearizedS
         )
     beta = math.sqrt(m_star**2 - froude**2)
     ratio = shock.ratio
-    return LinearizedShockSetup(
+    return _finite(LinearizedShockSetup(
         froude=froude,
         m1=m1,
         m2=m2,
@@ -346,4 +357,4 @@ def linearized_setup(shock: RectilinearShock, params: PhysParams) -> LinearizedS
         d0=(m_star**2 + froude**2) / (2.0 * froude**2),
         ell0=m1 * m2,
         a0=-(beta**2) * ratio / (2.0 * froude**2),
-    )
+    ))

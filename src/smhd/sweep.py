@@ -50,6 +50,8 @@ _COLORS = {
 }
 
 _AXIS_KEYS = ("name", "min", "max", "count")
+# Most points along one sweep axis (a 1024 x 1024 map).
+MAX_COUNT = 1024
 # Side of one grid cell and width of the frame around the map, in SVG pixels.
 CELL_PX, MARGIN_PX = 4, 46
 
@@ -78,7 +80,7 @@ class Axis:
             raise ConfigError(f"axis name must be a string, got {self.name!r}")
         self.lo = check_number(self.lo, f"axis {self.name!r} min")
         self.hi = check_number(self.hi, f"axis {self.name!r} max")
-        self.count = check_count(self.count, f"axis {self.name!r} count", 2)
+        self.count = check_count(self.count, f"axis {self.name!r} count", 2, MAX_COUNT)
         if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.hi > self.lo):
             raise ConfigError(f"axis {self.name!r} has an invalid range [{self.lo}, {self.hi}]")
 

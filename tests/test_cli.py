@@ -277,6 +277,17 @@ def test_simulate_non_finite_state_exit_5(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_simulate_linear_non_finite_exit_5(tmp_path):
+    # norms that overflow end the run with exit 5 and one stderr line, no numpy warning
+    doc = _with(LINEAR_RUN, pulse={"p_amplitude": 1e200})
+    proc = subprocess.run([sys.executable, "-m", "smhd.cli", *_argv(tmp_path, SIMULATE, doc),
+                           "--out", str(tmp_path)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 5
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("simulate: ") and "non-finite" in err[0]
+    assert not (tmp_path / "timeseries.csv").exists()
+
+
 def test_simulate_linear_kind(tmp_path, capsys):
     cfg = {"kind": "linear",
            "shock": {"h_minus": 1.0, "ratio": 2.0, "b1_plus": 0.5, "b2": 0.0, "g": 1.0},
@@ -404,6 +415,11 @@ BAD_INPUTS = {
     "sweep-fixed-true": (["sweep", "--spec"], _with(LAX_SWEEP, fixed={"g": True})),
     "sweep-axis-min-text": (["sweep", "--spec"], _with(LAX_SWEEP, ("x_axis",), min="x")),
     "sweep-axis-count-text": (["sweep", "--spec"], _with(LAX_SWEEP, ("x_axis",), count="ab")),
+    # derived shock values overflow: a0 = -inf, then an x2 speed of ~1e300 (a ~1e-301 step)
+    "linear-ratio-huge": (["simulate", "--config"], _with(LINEAR_RUN, ("shock",), ratio=1e300)),
+    "linear-b2-huge": (["simulate", "--config"], _with(LINEAR_RUN, ("shock",), b2=1e300)),
+    # finite, but the wave speeds ask for ~1e6 steps, beyond linear.MAX_STEPS
+    "linear-ratio-1e12": (["simulate", "--config"], _with(LINEAR_RUN, ("shock",), ratio=1e12)),
 }
 
 SIMULATE, SWEEP = ["simulate", "--config"], ["sweep", "--spec"]
@@ -437,6 +453,10 @@ BAD_VALUES = {
     "sweep-axis-min-true": (SWEEP, _with(LAX_SWEEP, X_AXIS, min=True), "min"),
     "sweep-axis-min-number-text": (SWEEP, _with(LAX_SWEEP, X_AXIS, min="0.5"), "min"),
     "sweep-fixed-g-text": (SWEEP, _with(LAX_SWEEP, fixed={"g": "1"}), "fixed g"),
+    "fv-cells-huge": (SIMULATE, _with(RIEMANN_1D, cells=[1e300]), "cells"),
+    "linear-cells-beyond-total": (SIMULATE, _with(LINEAR_RUN, cells=[2**20, 8]), "cells"),
+    "sweep-axis-count-huge": (SWEEP, _with(LAX_SWEEP, X_AXIS, count=1e300), "count"),
+    "sweep-axis-count-beyond-max": (SWEEP, _with(LAX_SWEEP, X_AXIS, count=1025), "count"),
 }
 BAD_INPUTS.update({name: (argv, doc) for name, (argv, doc, _) in BAD_VALUES.items()})
 

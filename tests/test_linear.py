@@ -1,13 +1,19 @@
+import dataclasses
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import smhd.linear
 from smhd.core import PhysParams
-from smhd.errors import ConfigError, ConstraintViolation
+from smhd.errors import ConfigError, ConstraintViolation, NonFiniteState
 from smhd.linear import (
     LinearConfig,
+    _fill_differences,
+    _upwind_split,
     boundary_condition_matrix,
     constraint_residual,
     linear_halfplane_simulate,
@@ -128,3 +134,86 @@ def test_config_validation():
     setup = _setup()
     with pytest.raises(ConfigError):
         linear_halfplane_simulate(setup, _cfg(end_time=0.5), u0=np.zeros((5, 7, 7)))
+
+
+def _random_setups(n, seed):
+    """Admissible shocks (ratio > 1) with b2 != 0 over a range of scales."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        g = rng.uniform(0.3, 3.0)
+        p = PhysParams(g)
+        yield linearized_setup(rectilinear_shock(rng.uniform(0.3, 3.0), rng.uniform(1.01, 6.0),
+                                                 rng.uniform(0.05, 3.0), rng.uniform(-3.0, 3.0),
+                                                 p), p)
+
+
+def test_upwind_split_matches_generalized_eigh():
+    # oracle: scipy's generalized symmetric eigensolver on the pencil (A, A0); the
+    # eigenvector signs are free, so the projectors G+- are compared, not the basis
+    for setup in _random_setups(40, seed=11):
+        a0, a1, a2 = system_matrices(setup)
+        for a in (a1, a2):
+            lam, vecs = sla.eigh(a, a0)
+            g_plus, g_minus, v, inv, lam_np = _upwind_split(a, a0)
+            scale = max(1.0, np.max(np.abs(lam)))
+            assert np.max(np.abs(lam_np - lam)) <= 1e-12 * scale
+            assert np.max(np.abs(inv @ v - np.eye(5))) <= 1e-12
+            for g, part in ((g_plus, np.maximum(lam, 0.0)), (g_minus, np.minimum(lam, 0.0))):
+                ref = vecs @ np.diag(part) @ vecs.T @ a0
+                assert np.max(np.abs(g - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_one_step_product_matches_einsum_roll_step():
+    rng = np.random.default_rng(5)
+    n1, n2 = 13, 7
+    u, ub = rng.standard_normal((5, n1, n2)), rng.standard_normal((5, n2))
+    g1p, g1m, g2p, g2m = rng.standard_normal((4, 5, 5))
+    c1, c2 = 0.3, 0.2
+    # reference: ghost columns by concatenation, periodic x2 differences by np.roll
+    ug = np.concatenate([ub[:, None, :], u, u[:, -1:, :]], axis=1)
+    dm1, dp1 = ug[:, 1:-1] - ug[:, :-2], ug[:, 2:] - ug[:, 1:-1]
+    dm2, dp2 = u - np.roll(u, 1, axis=2), np.roll(u, -1, axis=2) - u
+    ref = u - c1 * (np.einsum("ij,jxy->ixy", g1p, dm1) + np.einsum("ij,jxy->ixy", g1m, dp1)) \
+        - c2 * (np.einsum("ij,jxy->ixy", g2p, dm2) + np.einsum("ij,jxy->ixy", g2m, dp2))
+    d = np.full((4, 5, n1, n2), np.nan)
+    _fill_differences(d, u, ub)
+    for block, diff in zip(d, (dm1, dp1, dm2, dp2)):
+        assert np.array_equal(block, diff)
+    k = np.hstack([c1 * g1p, c1 * g1m, c2 * g2p, c2 * g2m])
+    new = u - (k @ d.reshape(20, -1)).reshape(u.shape)
+    assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_import_cli_loads_no_scipy():
+    code = "import smhd.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+def test_run_beyond_max_steps_rejected(monkeypatch):
+    monkeypatch.setattr(smhd.linear, "MAX_STEPS", 10)
+    cfg = _cfg(cells=(32, 8), end_time=2.0)
+    with pytest.raises(ConfigError, match="MAX_STEPS"):
+        linear_halfplane_simulate(_setup(), cfg)
+    cfg.end_time = 0.05
+    assert linear_halfplane_simulate(_setup(), cfg).steps <= 10
+
+
+def test_non_finite_state_raises():
+    setup = _setup()
+    u0 = make_constraint_pulse(_cfg(end_time=0.5), setup)
+    u0[1, 50, 3] = np.inf
+    with pytest.raises(NonFiniteState):
+        linear_halfplane_simulate(setup, _cfg(end_time=0.5), u0=u0)
+    # a flipped d0 makes the boundary problem unstable: the state overflows mid-run
+    # and the final record, not a returned inf, reports it
+    unstable = dataclasses.replace(setup, d0=-setup.d0)
+    with pytest.raises(NonFiniteState) as info:
+        linear_halfplane_simulate(unstable, _cfg(end_time=20.0, output_interval=20.0))
+    assert info.value.time == pytest.approx(20.0)
+
+
+def test_wide_pulse_is_uniform():
+    cfg = _cfg()
+    cfg.pulse = {"width": 1e300, "p_amplitude": 0.5}
+    u = make_constraint_pulse(cfg, _setup())
+    assert np.all(u[0] == 0.5)

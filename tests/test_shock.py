@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from smhd.core import FrontGeometry, PhysParams, State, boundary_matrix, fast_speed
-from smhd.errors import DegenerateHeight, InvalidRatio, LaxViolation, NotAShock
+from smhd.errors import DegenerateHeight, InvalidParameter, InvalidRatio, LaxViolation, NotAShock
 from smhd.jumps import (
     DiscontinuityType,
     GridSide,
@@ -298,3 +298,15 @@ def test_linearized_rejects_expansion():
     p = PhysParams(1.0)
     with pytest.raises(LaxViolation):
         linearized_setup(rectilinear_shock(1.0, 0.5, 0.5, 0.0, p), p)
+
+
+@pytest.mark.parametrize("h_minus, ratio, b1_plus, b2, name", [
+    (1.0, 1e300, 0.5, 0.0, "a0"),        # a0 = -beta^2 R / (2 M^2) overflows
+    (1e10, 1e300, 0.5, 0.0, "h_plus"),   # h+ = R h- overflows
+    (1.0, 2.0, 1e200, 0.0, "v1_minus"),  # B1+^2 overflows
+    (1.0, 2.0, 0.5, math.nan, "b2"),
+])
+def test_non_finite_shock_values_raise(h_minus, ratio, b1_plus, b2, name):
+    p = PhysParams(1.0)
+    with pytest.raises(InvalidParameter, match=name):
+        linearized_setup(rectilinear_shock(h_minus, ratio, b1_plus, b2, p), p)
