@@ -21,6 +21,7 @@ from .core import (
     gravity_wave_speed,
     primitive_from_conserved,
     quasilinear_matrices,
+    symmetric_matrices,
 )
 from .elastic import ElasticState, embed_elastodynamics
 from .jumps import (

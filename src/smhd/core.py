@@ -5,15 +5,19 @@ with the depth-averaged velocity v = (v1, v2) and magnetic field
 B = (B1, B2) under a gravitational acceleration g > 0.  All quantities
 are nondimensional; g is a runtime parameter with default 1.
 
-Two symmetric quasilinear forms are provided:
+The symmetric quasilinear forms are one family, built by
+``symmetric_matrices``: weights (k0, w, c) and a parameter lam, with
+lam = 0 the primary forms
 
 * ``PRIMITIVE_HEIGHT``: unknowns (h, v, B), with
-  A0 = blockdiag(g/h, I4).
+  A0 = blockdiag(g/h, I4);
 * ``PRESSURE``: unknowns (p, v, B) with the hydrostatic pressure
   p = (g/2) h^2 and the gravity wave speed c = sqrt(g h), with
-  A0 = blockdiag(1/(h c^2), h I4).
+  A0 = blockdiag(1/(h c^2), h I4), the F2 = 0 slice of 2D
+  elastodynamics (``elastic.py``);
 
-Both are symmetric hyperbolic exactly when h > 0.
+and lam != 0 the secondary symmetrization (``symmetrization.py``).
+The primary forms are symmetric hyperbolic exactly when h > 0.
 
 Conserved variables are q = (h, h v1, h v2, h B1, h B2).  The induction
 rows of the flux use the planar curl convention
@@ -123,12 +127,11 @@ class FrontGeometry:
 
 @dataclass(frozen=True)
 class MatrixSet:
-    """Symmetric quasilinear matrices (A0, A1, A2) with a form tag."""
+    """Symmetric quasilinear matrices (A0, A1, A2)."""
 
     A0: np.ndarray
     A1: np.ndarray
     A2: np.ndarray
-    form: str = PRIMITIVE_HEIGHT
 
 
 def conserved_from_primitive(u: State) -> np.ndarray:
@@ -182,50 +185,30 @@ def fluxes(u: State, params: PhysParams) -> tuple[np.ndarray, np.ndarray]:
     return axis_flux(q, u.v, u.B, params.g, 0), axis_flux(q, u.v, u.B, params.g, 1)
 
 
-def _primitive_height_matrices(u: State, g: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    h = u.h
-    v1, v2 = u.v
-    b1, b2 = u.B
-    a0 = np.diag([g / h, 1.0, 1.0, 1.0, 1.0])
-    a1 = np.array([
-        [g * v1 / h, g, 0.0, 0.0, 0.0],
-        [g, v1, 0.0, -b1, 0.0],
-        [0.0, 0.0, v1, 0.0, -b1],
-        [0.0, -b1, 0.0, v1, 0.0],
-        [0.0, 0.0, -b1, 0.0, v1],
-    ])
-    a2 = np.array([
-        [g * v2 / h, 0.0, g, 0.0, 0.0],
-        [0.0, v2, 0.0, -b2, 0.0],
-        [g, 0.0, v2, 0.0, -b2],
-        [0.0, -b2, 0.0, v2, 0.0],
-        [0.0, 0.0, -b2, 0.0, v2],
-    ])
-    return a0, a1, a2
+def symmetric_matrices(u: State, k0: float, w: float, c: float,
+                       lam: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lam-family of symmetric forms (A0, A1, A2) for unknowns (s, v, B), s = h or p.
 
+    A0 = diag(k0, w, w, w, w) with -lam w coupling v to B, and in direction i
 
-def _pressure_matrices(u: State, g: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    h = u.h
-    v1, v2 = u.v
-    b1, b2 = u.B
-    c2 = g * h
-    k = 1.0 / (h * c2)
-    a0 = np.diag([k, h, h, h, h])
-    a1 = np.array([
-        [k * v1, 1.0, 0.0, 0.0, 0.0],
-        [1.0, h * v1, 0.0, -h * b1, 0.0],
-        [0.0, 0.0, h * v1, 0.0, -h * b1],
-        [0.0, -h * b1, 0.0, h * v1, 0.0],
-        [0.0, 0.0, -h * b1, 0.0, h * v1],
-    ])
-    a2 = np.array([
-        [k * v2, 0.0, 1.0, 0.0, 0.0],
-        [0.0, h * v2, 0.0, -h * b2, 0.0],
-        [1.0, 0.0, h * v2, 0.0, -h * b2],
-        [0.0, -h * b2, 0.0, h * v2, 0.0],
-        [0.0, 0.0, -h * b2, 0.0, h * v2],
-    ])
-    return a0, a1, a2
+        Ai[0, 0] = k0 (vi - lam bi),  p-v coupling c ei,  p-B coupling -c lam ei,
+        v/B blocks w (vi + lam bi) I on the diagonal, -w (bi + lam vi) I off it.
+
+    (k0, w, c) = (g/h, 1, g) is the primitive-height form, (1/(h g h), h, 1)
+    the pressure form, and lam != 0 the secondary symmetrization.
+    """
+    a0 = np.diag([k0, w, w, w, w])
+    a0[1, 3] = a0[3, 1] = a0[2, 4] = a0[4, 2] = -lam * w
+    mats = [a0]
+    for i, (vi, bi) in enumerate(zip(u.v, u.B)):
+        m = np.zeros((5, 5))
+        m[0, 0] = k0 * (vi - lam * bi)
+        m[0, 1 + i] = m[1 + i, 0] = c
+        m[0, 3 + i] = m[3 + i, 0] = -c * lam
+        adv, mag = w * (vi + lam * bi), -(w * (bi + lam * vi))
+        m[1:, 1:] = np.kron([[adv, mag], [mag, adv]], np.eye(2))
+        mats.append(m)
+    return tuple(mats)
 
 
 def quasilinear_matrices(u: State, params: PhysParams, form: str = PRIMITIVE_HEIGHT) -> MatrixSet:
@@ -235,13 +218,12 @@ def quasilinear_matrices(u: State, params: PhysParams, form: str = PRIMITIVE_HEI
     (p, v, B) with p = (g/2) h^2.  Both forms share the characteristic
     speeds; A0 is positive definite iff h > 0.
     """
+    g, h = params.g, u.h
     if form == PRIMITIVE_HEIGHT:
-        a0, a1, a2 = _primitive_height_matrices(u, params.g)
-    elif form == PRESSURE:
-        a0, a1, a2 = _pressure_matrices(u, params.g)
-    else:
-        raise ValueError(f"unknown quasilinear form {form!r}")
-    return MatrixSet(A0=a0, A1=a1, A2=a2, form=form)
+        return MatrixSet(*symmetric_matrices(u, g / h, 1.0, g))
+    if form == PRESSURE:  # k0 rounds as 1/(h c^2), c^2 = g h, bit-equal to elastic.py
+        return MatrixSet(*symmetric_matrices(u, 1.0 / (h * (g * h)), h, 1.0))
+    raise ValueError(f"unknown quasilinear form {form!r}")
 
 
 def boundary_matrix(u: State, front: FrontGeometry, params: PhysParams) -> np.ndarray:

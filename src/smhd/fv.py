@@ -45,9 +45,9 @@ import numpy as np
 from .core import (PhysParams, State, axis_flux, conserved_from_primitive, fast_speed, fluxes,
                    normal_speeds)
 from .errors import CflViolation, ConfigError, NonFiniteState, PositivityLoss
-from .ioutil import (MAX_CELLS, Recorder, cell_grid, check_count, check_float, check_keys,
-                     check_number, check_pair, check_run_fields, config_kwargs, state_from_doc,
-                     state_to_doc)
+from .ioutil import (MAX_CELLS, MAX_STEPS, Recorder, cell_grid, check_count, check_float,
+                     check_keys, check_number, check_pair, check_run_fields, config_kwargs,
+                     state_from_doc, state_to_doc)
 from .shock import RectilinearShock
 
 Array = np.ndarray
@@ -255,7 +255,6 @@ def _mix(frac: Array, q_left: Array, q_right: Array) -> Array:
 class _InitialData:
     q0: Array
     front_level: float | None = None
-    front_reference: float | None = None
     inflow_left: Array | None = None
     inflow_right: Array | None = None
 
@@ -313,8 +312,8 @@ def _initial_data(cfg: SimConfig) -> _InitialData:
     left_edges = (x - 0.5 * dx).reshape((-1,) + (1,) * (ndim - 1))
     frac = np.clip((front - left_edges) / dx, 0.0, 1.0)
     level = 0.5 * (qm[0] + qp[0])
-    return _InitialData(q0=_mix(frac, qm, qp), front_level=level,
-                        front_reference=x_if, inflow_left=qm, inflow_right=qp)
+    return _InitialData(q0=_mix(frac, qm, qp), front_level=level, inflow_left=qm,
+                        inflow_right=qp)
 
 
 def _vortex_data(doc: dict, x: Array, y: Array) -> Array:
@@ -407,7 +406,6 @@ class SimResult:
     times: Array
     conserved: Array           # (n_records, 5) cell sums times cell volume
     h_min: Array
-    h_max: Array
     div_norm: Array            # max |div(hB)|, zero for 1D runs
     front_position: Array      # NaN when not tracked
     front_amplitude: Array
@@ -447,7 +445,8 @@ def _simulate(cfg: SimConfig, source: Callable[..., Array] | None = None,
     Per step: HLL faces and the largest interior wave speed along each
     axis, dt from the Courant number summed over the axes, the
     flux-difference update, and the relative conservation defect (the
-    change of each cell sum against the boundary flux).
+    change of each cell sum against the boundary flux).  A run that
+    needs more than ``MAX_STEPS`` steps is a ConfigError.
     """
     ndim = cfg.dimensions
     centers, widths = cell_grid(cfg)
@@ -492,11 +491,14 @@ def _simulate(cfg: SimConfig, source: Callable[..., Array] | None = None,
             if good.size:
                 fp = float(np.mean(good))
                 amp = float(math.sqrt(2.0) * np.std(good))
-        return (t, volume(sums), float(q[0].min()), float(q[0].max()),
-                div, fp, amp, _energy(q, g, math.prod(widths)))
+        return (t, volume(sums), float(q[0].min()), div, fp, amp,
+                _energy(q, g, math.prod(widths)))
 
     rec.offer(t, False, row)
     while t < cfg.end_time - 1e-14:
+        if steps == MAX_STEPS:
+            raise ConfigError(f"the run needs more than MAX_STEPS = {MAX_STEPS} time steps "
+                              f"(t = {t:.6g} of end_time {cfg.end_time:g})")
         faces, speeds = zip(*(sweep.faces(q) for sweep in sweeps))
         _check_finite(sum(speeds), t, "wave speed")
         rate = sum(s / d for s, d in zip(speeds, widths))  # Courant number per unit time

@@ -15,7 +15,8 @@ Each document value is read once, where it is used, by ``check_number``
 ``check_pair``; ``check_keys`` and ``config_kwargs`` find unknown and
 missing keys.  Each failure is a ConfigError naming the field.  The fv
 and the linear simulators share ``check_run_fields``, ``cell_grid``
-(cell centres and widths) and ``Recorder`` (which steps a run records).
+(cell centres and widths), ``Recorder`` (which steps a run records) and
+the step cap ``MAX_STEPS``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from .jumps import SidePair
 CSV_BLOCK_ROWS = 1024
 # Most cells a run config may hold, over all its dimensions (1024 x 1024).
 MAX_CELLS = 2**20
+# Most time steps a run of either simulator may take (ACCEPT-11's 400x64 linear run takes ~3.4k).
+MAX_STEPS = 100_000
 
 
 def fmt(x: float) -> str:

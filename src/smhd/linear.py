@@ -31,8 +31,8 @@ import numpy as np
 
 from .core import PhysParams
 from .errors import ConfigError, ConstraintViolation, LaxViolation, NonFiniteState
-from .ioutil import (Recorder, cell_grid, check_float, check_keys, check_pair, check_run_fields,
-                     config_kwargs)
+from .ioutil import (MAX_STEPS, Recorder, cell_grid, check_float, check_keys, check_pair,
+                     check_run_fields, config_kwargs)
 from .shock import LinearizedShockSetup, linearized_setup, rectilinear_shock
 
 Array = np.ndarray
@@ -42,8 +42,6 @@ _PULSE_KEYS = ("center", "width", "p_amplitude", "v1_amplitude", "v2_amplitude",
                "potential_amplitude")
 # Largest accepted constraint residual of initial data, relative to their gradient scale.
 CONSTRAINT_TOL = 1e-8
-# Most time steps a run may take (ACCEPT-11's 400x64 run takes ~3.4k).
-MAX_STEPS = 100_000
 
 
 def system_matrices(setup: LinearizedShockSetup) -> tuple[Array, Array, Array]:
@@ -122,14 +120,11 @@ class LinearConfig:
     pulse: dict = field(default_factory=dict)
     cfl: float = 0.45
     output_interval: float | None = None
-    wave_check_time: float | None = None
 
     def __post_init__(self):
         check_run_fields(self, 2)
         if self.extents[0][0] != 0.0:
             raise ConfigError("the half-plane domain must start at x1 = 0")
-        if self.wave_check_time is not None:
-            self.wave_check_time = check_float(self.wave_check_time, "wave_check_time", -math.inf)
         check_keys(self.pulse, _PULSE_KEYS, "pulse key")
 
     @staticmethod
@@ -156,7 +151,8 @@ class LinearResult:
 
     The recorded norms are discrete stand-ins for the energy-estimate
     quantities: interior L2 and a first-difference-quotient norm for U,
-    the boundary trace of U, and the front perturbation.
+    the boundary trace of U, and the front perturbation.  ``p_triple``
+    holds p at the last three time levels, or None for a one-step run.
     """
 
     times: Array
@@ -168,7 +164,6 @@ class LinearResult:
     u_final: Array
     phi_final: Array
     p_triple: Array | None
-    p_triple_time: float | None
     dt: float
     grid: dict
     steps: int
@@ -270,8 +265,7 @@ def linear_halfplane_simulate(setup: LinearizedShockSetup, cfg: LinearConfig,
     # front evolution: dt phi = (ell0/M^2) d2 phi - a0 p_b / (1 - R)
     phi_drift, phi_pb = setup.ell0 / setup.froude**2, setup.a0 / (1.0 - r)
     rec = Recorder(cfg.output_interval)
-    p_triple, p_triple_time = [], None
-    triple_armed = cfg.wave_check_time is not None
+    p_levels = [u[0].copy()]  # p at time level 0 and at the last three levels
 
     def row() -> tuple:
         vol = dx * dy
@@ -304,19 +298,15 @@ def linear_halfplane_simulate(setup: LinearizedShockSetup, cfg: LinearConfig,
             dphi = (np.roll(phi, -1) - np.roll(phi, 1)) / (2.0 * dy)
             ub = b_u @ u[:, 0, :] + np.outer(b_phi, dphi)
             t += dt
-            if triple_armed and t >= cfg.wave_check_time:
-                p_triple.append(u[0].copy())
-                if len(p_triple) == 3:
-                    triple_armed = False
-                    p_triple_time = t - dt  # time level of the middle snapshot
+            if step >= n_steps - 3:
+                p_levels.append(u[0].copy())
             rec.offer(t, step == n_steps - 1, row)
 
     # each recorded row holds the norm series of LinearResult in field order
     return LinearResult(
         *np.array(rec.rows).T,
         u_final=u, phi_final=phi,
-        p_triple=np.array(p_triple) if len(p_triple) == 3 else None,
-        p_triple_time=p_triple_time,
+        p_triple=np.array(p_levels[-3:]) if len(p_levels) >= 3 else None,
         dt=dt,
         grid=dict(zip(("x", "y", "dx", "dy"), (*centers, dx, dy))),
         steps=n_steps,
@@ -325,14 +315,14 @@ def linear_halfplane_simulate(setup: LinearizedShockSetup, cfg: LinearConfig,
 
 def wave_operator_residual(result: LinearResult, setup: LinearizedShockSetup) -> Array:
     """Apply the discrete second-order operator M^2 L^2 - Lap - (Bc . grad)^2
-    to the recorded pressure triple; interior cells only.
+    to the pressure of the last three time levels; interior cells only.
 
     The evolved field satisfies this to the accuracy of the first-order
     scheme, so the residual norm shrinks roughly linearly under grid
     refinement at fixed Courant number.
     """
     if result.p_triple is None:
-        raise ValueError("run was not configured with a wave_check_time")
+        raise ValueError("a one-step run has no three time levels to check")
     pm, p0, pp = result.p_triple
     dt = result.dt
     dx = result.grid["dx"]

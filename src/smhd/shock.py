@@ -117,27 +117,24 @@ def _flip_field(u: State) -> State:
     return State(h=u.h, v=u.v.copy(), B=-u.B)
 
 
-def canonical_orientation(sp: SidePair) -> tuple[SidePair, bool, bool]:
+def canonical_orientation(sp: SidePair) -> SidePair:
     """Relabel/reflect a shock pair so that m > 0 and B_N >= 0.
 
     If m < 0, apply the x1 reflection (sides swap, normal components of
     v and B flip, front slope and speed flip).  If the shared magnetic
     flux is then negative, flip the sign of B on both sides; both maps
-    preserve the jump conditions.  Returns the pair plus flags recording
-    which maps were applied.
+    preserve the jump conditions.
     """
     tq = trace_quantities(sp)
-    swapped = tq.m_minus < 0.0
-    if swapped:
+    if tq.m_minus < 0.0:
         front = FrontGeometry(slope=-sp.front.slope, speed=-sp.front.speed)
         sp = SidePair(plus=_reflect_state(sp.minus), minus=_reflect_state(sp.plus),
                       front=front, params=sp.params)
         tq = trace_quantities(sp)
-    flipped = tq.b_minus < 0.0
-    if flipped:
+    if tq.b_minus < 0.0:
         sp = SidePair(plus=_flip_field(sp.plus), minus=_flip_field(sp.minus),
                       front=sp.front, params=sp.params)
-    return sp, swapped, flipped
+    return sp
 
 
 @dataclass(frozen=True)
@@ -161,8 +158,6 @@ class ShockDiagnostics:
     k: int | None
     height_jump: float
     front_speed: float
-    sides_swapped: bool
-    field_flipped: bool
 
 
 def lax_kernel(tq: TraceQuantities, h_plus, h_minus, g, speed):
@@ -185,7 +180,7 @@ def lax_verdict(sp: SidePair, tol: float = DEFAULT_TOL) -> ShockDiagnostics:
     if kind.kind is not DiscontinuityType.SHOCK:
         raise NotAShock(f"pair classifies as {kind}")
 
-    csp, swapped, flipped = canonical_orientation(sp)
+    csp = canonical_orientation(sp)
     tq = trace_quantities(csp)
     speed = csp.front.speed
     ok, cg_p, cg_m = lax_kernel(tq, csp.plus.h, csp.minus.h, csp.params.g, speed)
@@ -203,8 +198,6 @@ def lax_verdict(sp: SidePair, tol: float = DEFAULT_TOL) -> ShockDiagnostics:
         k=1 if ok else None,
         height_jump=csp.plus.h - csp.minus.h,
         front_speed=speed,
-        sides_swapped=swapped,
-        field_flipped=flipped,
     )
 
 
@@ -216,7 +209,7 @@ def k2_shock_possible(sp: SidePair) -> bool:
     other, so this returns False for every consistent pair; it exists to
     make that contradiction checkable.
     """
-    csp, _, _ = canonical_orientation(sp)
+    csp = canonical_orientation(sp)
     tq = trace_quantities(csp)
     speed = csp.front.speed
     lower_ok = (tq.vn_minus - tq.bn_minus) > speed  # lambda2(-) > front speed

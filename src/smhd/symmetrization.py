@@ -8,13 +8,15 @@ equations and the divergence constraint:
     eq2' = eq2 - lam eq3,
     eq3' = eq3 - lam eq2.
 
-B0 is positive definite exactly when h > 0 and |lam| < 1.  For a
-rectilinear current-vortex sheet, picking per-side values lam+/- that
-cancel the tangential jump [v2 - lam B2] kills the boundary term of the
-energy identity; the requirement |lam| < 1 then yields the sufficient
-stability condition |[v2]| < |B2+| + |B2-|.  For the symmetric
-configuration B2+ = -B2- a necessary-and-sufficient condition and its
-exceptional points are available in closed form.
+Its matrices are the primitive-height member of the one family of
+symmetric forms, ``core.symmetric_matrices``.  B0 is positive definite
+exactly when h > 0 and |lam| < 1.  For a rectilinear current-vortex
+sheet, picking per-side values lam+/- that cancel the tangential jump
+[v2 - lam B2] kills the boundary term of the energy identity; the
+requirement |lam| < 1 then yields the sufficient stability condition
+|[v2]| < |B2+| + |B2-|.  For the symmetric configuration B2+ = -B2- a
+necessary-and-sufficient condition and its exceptional points are
+available in closed form.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysParams, State, where
+from .core import PhysParams, State, symmetric_matrices, where
 from .errors import (
     ConstraintViolation,
     HeightMismatch,
@@ -47,46 +49,13 @@ class SecondaryMatrices:
     B0: np.ndarray
     B1: np.ndarray
     B2: np.ndarray
-    lam: float
 
 
 def secondary_matrices(u: State, lam: float, params: PhysParams) -> SecondaryMatrices:
-    """Matrices of the secondary symmetrization at state u.
-
-    At lam = 0 they reduce entrywise to the primitive-height matrices.
-    """
-    g = params.g
-    h = u.h
-    v1, v2 = u.v
-    b1, b2 = u.B
-    lam = float(lam)
-
-    b0 = np.array([
-        [g / h, 0.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0, -lam, 0.0],
-        [0.0, 0.0, 1.0, 0.0, -lam],
-        [0.0, -lam, 0.0, 1.0, 0.0],
-        [0.0, 0.0, -lam, 0.0, 1.0],
-    ])
-
-    def direction(vi: float, bi: float, e: np.ndarray) -> np.ndarray:
-        adv = vi + lam * bi
-        mag = bi + lam * vi
-        m = np.zeros((5, 5))
-        m[0, 0] = g * (vi - lam * bi) / h
-        m[0, 1:3] = g * e
-        m[1:3, 0] = g * e
-        m[0, 3:5] = -g * lam * e
-        m[3:5, 0] = -g * lam * e
-        m[1:3, 1:3] = adv * np.eye(2)
-        m[3:5, 3:5] = adv * np.eye(2)
-        m[1:3, 3:5] = -mag * np.eye(2)
-        m[3:5, 1:3] = -mag * np.eye(2)
-        return m
-
-    e1 = np.array([1.0, 0.0])
-    e2 = np.array([0.0, 1.0])
-    return SecondaryMatrices(B0=b0, B1=direction(v1, b1, e1), B2=direction(v2, b2, e2), lam=lam)
+    """Matrices of the secondary symmetrization at state u: the member lam of
+    ``core.symmetric_matrices`` with the primitive-height weights, so at
+    lam = 0 they are the primitive-height matrices."""
+    return SecondaryMatrices(*symmetric_matrices(u, params.g / u.h, 1.0, params.g, float(lam)))
 
 
 def secondary_hyperbolic(h: float, lam: float) -> bool:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import smhd.fv
 from smhd.cli import EXIT_CODES, main
 from smhd.fv import SimConfig, simulate_1d, simulate_2d
 from smhd.linear import LinearConfig, linear_halfplane_simulate
@@ -420,6 +421,28 @@ BAD_INPUTS = {
     "linear-b2-huge": (["simulate", "--config"], _with(LINEAR_RUN, ("shock",), b2=1e300)),
     # finite, but the wave speeds ask for ~1e6 steps, beyond linear.MAX_STEPS
     "linear-ratio-1e12": (["simulate", "--config"], _with(LINEAR_RUN, ("shock",), ratio=1e12)),
+    "fv-x1-wall": (["simulate", "--config"], _with(RIEMANN_1D, boundary_x1="wall")),
+    "fv-x1-periodic-one-end": (["simulate", "--config"],
+                               _with(RIEMANN_1D, boundary_x1=["periodic", "outflow"])),
+    "fv-x2-inflow": (["simulate", "--config"], _with(VORTEX_2D, boundary_x2="inflow")),
+    "fv-1d-vortex": (["simulate", "--config"], _with(RIEMANN_1D, initial={"type": "vortex"})),
+    "riemann-minus-number": (["simulate", "--config"], _with(RIEMANN_1D, ("initial",), minus=3)),
+    "riemann-without-plus": (["simulate", "--config"],
+                             _with(RIEMANN_1D, initial={"type": "riemann",
+                                                        "minus": RATIONAL_PAIR["minus"]})),
+    "fv-interval-beyond-run": (["simulate", "--config"],
+                               _with(RIEMANN_1D, end_time=1e300, output_interval=1e-300)),
+    "simulate-unknown-kind": (["simulate", "--config"], _with(RIEMANN_1D, kind="spectral")),
+    "classify-no-input": (["classify"], None),
+    "stability-cvs-no-input": (["stability", "cvs"], None),
+    "sweep-axis-name-number": (["sweep", "--spec"], _with(LAX_SWEEP, ("x_axis",), name=3)),
+    "sweep-axis-reversed": (["sweep", "--spec"], _with(LAX_SWEEP, ("x_axis",), min=2.0, max=0.5)),
+    "sweep-unknown-verdict": (["sweep", "--spec"], _with(LAX_SWEEP, verdict="foo")),
+    "classify-slope-infinite": (["classify", "--input"],
+                                _with(RATIONAL_PAIR, ("front",), slope=1e400)),
+    "fv-inflow-uniform": (["simulate", "--config"],
+                          _with(RIEMANN_1D, boundary_x1=["inflow", "outflow"],
+                                initial={"type": "uniform", "state": RATIONAL_PAIR["minus"]})),
 }
 
 SIMULATE, SWEEP = ["simulate", "--config"], ["sweep", "--spec"]
@@ -487,6 +510,20 @@ def test_tiny_output_interval_records_every_step(tmp_path):
     steps = int(re.search(r"run: (\d+) steps", proc.stdout).group(1))
     rows = (tmp_path / "timeseries.csv").read_text().splitlines()[1:]
     assert len(rows) == steps + 1
+
+
+def test_fv_run_beyond_max_steps_exit_1(tmp_path, capsys, monkeypatch):
+    # a run that needs more steps than the cap stops there instead of running on
+    steps = simulate_1d(SimConfig.from_dict(RIEMANN_1D)).steps
+    monkeypatch.setattr(smhd.fv, "MAX_STEPS", steps)
+    assert simulate_1d(SimConfig.from_dict(RIEMANN_1D)).steps == steps
+    doc = _with(RIEMANN_1D, end_time=1e300, output_interval=1e299)
+    assert main(["simulate", "--config", _write(tmp_path, "c.json", doc),
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"simulate: the run needs more than MAX_STEPS = {steps} ")
+    assert not (tmp_path / "timeseries.csv").exists()
 
 
 def test_bad_input_prints_no_traceback(tmp_path):

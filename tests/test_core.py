@@ -108,6 +108,20 @@ def test_forms_share_characteristic_speeds(rng):
                 assert np.max(np.abs(lam - speeds)) < 1e-10
 
 
+def test_pressure_form_is_the_primitive_form_in_pressure_unknowns(rng):
+    # dp = g h dh, so with J = diag(1/(g h), 1, 1, 1, 1) the pressure form is h J A J
+    # for A the primitive-height form
+    p = PhysParams(g=1.3)
+    for _ in range(300):
+        u = random_state(rng)
+        j = np.diag([1.0 / (p.g * u.h), 1.0, 1.0, 1.0, 1.0])
+        prim = quasilinear_matrices(u, p, PRIMITIVE_HEIGHT)
+        pres = quasilinear_matrices(u, p, PRESSURE)
+        for a, b in ((prim.A0, pres.A0), (prim.A1, pres.A1), (prim.A2, pres.A2)):
+            ref = u.h * j @ a @ j
+            assert np.max(np.abs(b - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_boundary_matrix_stationary_flat_front(rng):
     p = PhysParams(1.0)
     u = random_state(rng)

@@ -103,7 +103,7 @@ def test_wave_equation_residual_truncation_order():
     setup = _setup()
     ratios = []
     for n in ((120, 24), (240, 48)):
-        cfg = _cfg(cells=n, end_time=1.5, wave_check_time=1.0)
+        cfg = _cfg(cells=n, end_time=1.0)
         res = linear_halfplane_simulate(setup, cfg)
         r = wave_operator_residual(res, setup)
         x = res.grid["x"][1:-1]
@@ -126,7 +126,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         LinearConfig(cells=(32, 8), extents=((1.0, 8.0), (0, 4)), end_time=1.0, pulse={})
     for bad in [{"output_interval": 0.0}, {"output_interval": -0.1}, {"output_interval": "0.1"},
-                {"end_time": math.inf}, {"wave_check_time": "x"},
+                {"end_time": math.inf},
                 {"extents": ((0.0, 8.0), (1.0, 1.0))}, {"extents": ((0.0, -8.0), (0.0, 4.0))}]:
         with pytest.raises(ConfigError):
             LinearConfig(**{"cells": (32, 8), "extents": ((0.0, 8.0), (0.0, 4.0)),

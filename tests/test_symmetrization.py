@@ -285,6 +285,29 @@ def test_boundary_term_zero_slope(rng):
     assert abs(boundary_energy_term(plus, minus, choice, up, um, 0.0, p)) < 1e-15
 
 
+_SHEET_PLUS = State(h=1.0, v=[0, 0.25], B=[0, 1.0])
+_SHEET_MINUS = State(h=1.0, v=[0, -0.25], B=[0, -1.0])
+_UP = _compliant_perturbation(_SHEET_PLUS, 0.1, 0.2, 0.3, 0.1, 0.4)
+_UM = _compliant_perturbation(_SHEET_MINUS, 0.1, 0.2, 0.3, -0.2, 0.5)
+
+
+@pytest.mark.parametrize("plus, minus, up, um, error, message", [
+    (State(h=1.0, v=[0.1, 0.25], B=[0, 1.0]), _SHEET_MINUS, _UP, _UM,
+     ConstraintViolation, "rectilinear sheet"),
+    (_SHEET_PLUS, State(h=1.5, v=[0, -0.25], B=[0, -1.0]), _UP, _UM,
+     HeightMismatch, "heights differ"),
+    (_SHEET_PLUS, _SHEET_MINUS, _UP + [0.1, 0, 0, 0, 0], _UM, ConstraintViolation, r"\[h\] = 0"),
+    (_SHEET_PLUS, _SHEET_MINUS, _UP, _UM + [0, 0, 0, 0.1, 0], ConstraintViolation,
+     "field constraint"),
+], ids=["normal-velocity", "heights", "height-jump", "field-constraint"])
+def test_boundary_term_rejects_each_violated_condition(plus, minus, up, um, error, message):
+    p = PhysParams(g=1.0)
+    ch = lambda_for_cvs(_SHEET_PLUS, _SHEET_MINUS)
+    assert abs(boundary_energy_term(_SHEET_PLUS, _SHEET_MINUS, ch, _UP, _UM, 0.1, p)) < 1e-12
+    with pytest.raises(error, match=message):
+        boundary_energy_term(plus, minus, ch, up, um, 0.1, p)
+
+
 def test_boundary_term_rejects_noncompliant():
     p = PhysParams(g=1.0)
     plus = State(h=1.0, v=[0, 0.25], B=[0, 1.0])
