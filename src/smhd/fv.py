@@ -251,27 +251,6 @@ def _mix(frac: Array, q_left: Array, q_right: Array) -> Array:
         (1.0 - frac[None, ...]) * q_right.reshape(5, *([1] * frac.ndim))
 
 
-@dataclass
-class _InitialData:
-    q0: Array
-    front_level: float | None = None
-    inflow_left: Array | None = None
-    inflow_right: Array | None = None
-
-    def check_boundary(self, bc: tuple[str, str]) -> None:
-        if (bc[0] == "inflow" and self.inflow_left is None) or \
-           (bc[1] == "inflow" and self.inflow_right is None):
-            raise ConfigError("inflow boundaries need two-state initial data")
-
-
-def _build_initial(cfg: SimConfig) -> _InitialData:
-    """Initial data of ``cfg.initial``; data that are not finite with h > 0 are a ConfigError."""
-    init = _initial_data(cfg)
-    if not (np.all(np.isfinite(init.q0)) and np.min(init.q0[0]) > 0.0):
-        raise ConfigError(f"{cfg.initial['type']} initial data must be finite with h > 0")
-    return init
-
-
 # (required, optional) keys of each initial-data type besides "type"; the last two are 2D only.
 _INITIAL_KEYS = {
     "uniform": (("state",), ()),
@@ -281,7 +260,10 @@ _INITIAL_KEYS = {
 }
 
 
-def _initial_data(cfg: SimConfig) -> _InitialData:
+def _initial_data(cfg: SimConfig) -> tuple[Array, float | None, tuple[Array, Array] | None]:
+    """(q0, front level, (minus, plus) conserved states) of ``cfg.initial``; the level and
+    the states are None unless the data have two states.  Data that are not finite with
+    h > 0 are a ConfigError."""
     doc = cfg.initial
     kind = doc["type"]
     ndim = cfg.dimensions
@@ -290,30 +272,33 @@ def _initial_data(cfg: SimConfig) -> _InitialData:
     required, optional = _INITIAL_KEYS[kind]
     check_keys(doc, ("type", *required, *optional), f"{kind} initial key", required=required)
     centers, widths = cell_grid(cfg)
+    level = states = None
     if kind == "uniform":
         q = conserved_from_primitive(state_from_doc(doc["state"]))
-        return _InitialData(q0=np.tile(q.reshape((5,) + (1,) * ndim), (1, *cfg.cells)))
-    if kind == "vortex":
-        return _InitialData(q0=_vortex_data(doc, *centers))
-    qm = conserved_from_primitive(state_from_doc(doc["minus"], "minus"))
-    qp = conserved_from_primitive(state_from_doc(doc["plus"], "plus"))
-    x, dx = centers[0], widths[0]
-    # x1 position of the front in every x2 row
-    if kind == "riemann":
-        x_if = check_number(doc.get("interface", 0.5 * (x[0] + x[-1])), "interface")
-        front = np.full(cfg.cells[1:], x_if)
+        q0 = np.tile(q.reshape((5,) + (1,) * ndim), (1, *cfg.cells))
+    elif kind == "vortex":
+        q0 = _vortex_data(doc, *centers)
     else:
-        x_if = check_number(doc["front_position"], "front_position")
-        amp = check_number(doc.get("amplitude", 0.0), "amplitude")
-        wavelengths = check_count(doc.get("wavelengths", 1), "wavelengths", 1, MAX_CELLS)
-        (y0, y1) = cfg.extents[1]
-        k = 2.0 * math.pi * wavelengths / (y1 - y0)
-        front = x_if + amp * np.cos(k * (centers[1] - y0))
-    left_edges = (x - 0.5 * dx).reshape((-1,) + (1,) * (ndim - 1))
-    frac = np.clip((front - left_edges) / dx, 0.0, 1.0)
-    level = 0.5 * (qm[0] + qp[0])
-    return _InitialData(q0=_mix(frac, qm, qp), front_level=level, inflow_left=qm,
-                        inflow_right=qp)
+        states = tuple(conserved_from_primitive(state_from_doc(doc[side], side))
+                       for side in ("minus", "plus"))
+        x, dx = centers[0], widths[0]
+        # x1 position of the front in every x2 row
+        if kind == "riemann":
+            x_if = check_number(doc.get("interface", 0.5 * (x[0] + x[-1])), "interface")
+            front = np.full(cfg.cells[1:], x_if)
+        else:
+            x_if = check_number(doc["front_position"], "front_position")
+            amp = check_number(doc.get("amplitude", 0.0), "amplitude")
+            wavelengths = check_count(doc.get("wavelengths", 1), "wavelengths", 1, MAX_CELLS)
+            (y0, y1) = cfg.extents[1]
+            k = 2.0 * math.pi * wavelengths / (y1 - y0)
+            front = x_if + amp * np.cos(k * (centers[1] - y0))
+        left_edges = (x - 0.5 * dx).reshape((-1,) + (1,) * (ndim - 1))
+        q0 = _mix(np.clip((front - left_edges) / dx, 0.0, 1.0), *states)
+        level = 0.5 * (states[0][0] + states[1][0])
+    if not (np.all(np.isfinite(q0)) and np.min(q0[0]) > 0.0):
+        raise ConfigError(f"{kind} initial data must be finite with h > 0")
+    return q0, level, states
 
 
 def _vortex_data(doc: dict, x: Array, y: Array) -> Array:
@@ -342,12 +327,6 @@ def _vortex_data(doc: dict, x: Array, y: Array) -> Array:
 # Diagnostics
 
 
-def _forward_difference(a: Array, axis: int, periodic: bool) -> Array:
-    if periodic:
-        return np.roll(a, -1, axis=axis) - a
-    return np.diff(a, axis=axis)
-
-
 def divergence_residual(q: Array, dx: float, dy: float, periodic_x: bool,
                         periodic_y: bool = True) -> Array:
     """Forward-difference div(h B).
@@ -358,8 +337,8 @@ def divergence_residual(q: Array, dx: float, dy: float, periodic_x: bool,
     accuracy of the scheme, so its value on smooth initial data sets the
     truncation level against which transported divergence is judged.
     """
-    d1 = _forward_difference(q[3], 0, periodic_x) / dx
-    d2 = _forward_difference(q[4], 1, periodic_y) / dy
+    d1 = (np.roll(q[3], -1, axis=0) - q[3] if periodic_x else np.diff(q[3], axis=0)) / dx
+    d2 = (np.roll(q[4], -1, axis=1) - q[4] if periodic_y else np.diff(q[4], axis=1)) / dy
     return d1[:, :d2.shape[1]] + d2[:d1.shape[0], :]
 
 
@@ -370,19 +349,12 @@ def front_positions(x: Array, h: Array, level: float) -> Array:
     cell centers; NaN where no crossing exists.
     """
     h2 = h[:, None] if h.ndim == 1 else h
-    below = h2[:-1, :] < level
-    above = h2[1:, :] >= level
-    cross = below & above
-    ny = h2.shape[1]
-    out = np.full(ny, np.nan)
-    for j in range(ny):
-        idx = np.nonzero(cross[:, j])[0]
-        if idx.size == 0:
-            continue
-        i = idx[0]
-        t = (level - h2[i, j]) / (h2[i + 1, j] - h2[i, j])
-        out[j] = x[i] + t * (x[i + 1] - x[i])
-    return out
+    cross = (h2[:-1] < level) & (h2[1:] >= level)
+    i = np.argmax(cross, axis=0)  # the first crossing of each row, 0 in a row without one
+    j = np.arange(h2.shape[1])
+    lo, hi = h2[i, j], h2[i + 1, j]
+    t = np.divide(level - lo, hi - lo, out=np.full(j.size, np.nan), where=cross[i, j])
+    return x[i] + t * (x[i + 1] - x[i])
 
 
 def transition_band_width(x: Array, h_row: Array, level: float) -> float:
@@ -445,20 +417,21 @@ def _simulate(cfg: SimConfig, source: Callable[..., Array] | None = None,
     Per step: HLL faces and the largest interior wave speed along each
     axis, dt from the Courant number summed over the axes, the
     flux-difference update, and the relative conservation defect (the
-    change of each cell sum against the boundary flux).  A run that
-    needs more than ``MAX_STEPS`` steps is a ConfigError.
+    change of each cell sum against the boundary flux).  A run that needs
+    more than ``MAX_STEPS`` steps is a ConfigError: at the first step if
+    end_time > MAX_STEPS * dt, else at the cap (CFL steps can shrink).
     """
     ndim = cfg.dimensions
     centers, widths = cell_grid(cfg)
-    init = _build_initial(cfg) if q0 is None else _InitialData(q0=np.asarray(q0, dtype=float))
-    if init.q0.shape != (5, *cfg.cells):
-        raise ConfigError(f"initial data shape {init.q0.shape} does not match the grid")
-    init.check_boundary(cfg.boundary_x1)
-    q = init.q0.copy()
+    q, level, states = (_initial_data(cfg) if q0 is None else
+                        (np.array(q0, dtype=float, order="C"), None, None))
+    if q.shape != (5, *cfg.cells):
+        raise ConfigError(f"initial data shape {q.shape} does not match the grid")
+    if "inflow" in cfg.boundary_x1 and states is None:
+        raise ConfigError("inflow boundaries need two-state initial data")
     g = cfg.g
     cell_axes = tuple(range(1, ndim + 1))
-    inflow = (init.inflow_left, init.inflow_right)
-    sides = ([inflow[end] if bc == "inflow" else bc for end, bc in enumerate(cfg.boundary_x1)],
+    sides = ([states[end] if bc == "inflow" else bc for end, bc in enumerate(cfg.boundary_x1)],
              (cfg.boundary_x2,) * 2)
     sweeps = [_AxisSweep(cfg.cells, axis, sides[axis], g) for axis in range(ndim)]
     # face area normal to each axis: the product of the other widths (1.0 in 1D)
@@ -485,8 +458,8 @@ def _simulate(cfg: SimConfig, source: Callable[..., Array] | None = None,
             div = float(np.max(np.abs(divergence_residual(q, *widths, *periodic))))
             amp = np.nan
         fp = np.nan
-        if init.front_level is not None:
-            rows = front_positions(centers[0], q[0], init.front_level)
+        if level is not None:
+            rows = front_positions(centers[0], q[0], level)
             good = rows[np.isfinite(rows)]
             if good.size:
                 fp = float(np.mean(good))
@@ -496,9 +469,6 @@ def _simulate(cfg: SimConfig, source: Callable[..., Array] | None = None,
 
     rec.offer(t, False, row)
     while t < cfg.end_time - 1e-14:
-        if steps == MAX_STEPS:
-            raise ConfigError(f"the run needs more than MAX_STEPS = {MAX_STEPS} time steps "
-                              f"(t = {t:.6g} of end_time {cfg.end_time:g})")
         faces, speeds = zip(*(sweep.faces(q) for sweep in sweeps))
         _check_finite(sum(speeds), t, "wave speed")
         rate = sum(s / d for s, d in zip(speeds, widths))  # Courant number per unit time
@@ -532,6 +502,9 @@ def _simulate(cfg: SimConfig, source: Callable[..., Array] | None = None,
                             max(1.0, float(volume(np.max(np.abs(before))))))
         _check_finite(step_defect, t + dt, "conservation defect")
         max_defect = max(max_defect, step_defect)
+        if steps == MAX_STEPS or (steps == 0 and cfg.end_time > MAX_STEPS * dt):
+            raise ConfigError(f"the run needs more than MAX_STEPS = {MAX_STEPS} time steps "
+                              f"(t = {t:.6g} of end_time {cfg.end_time:g}, dt = {dt:.3g})")
         _check_positive(q, t + dt)
         t += dt
         steps += 1

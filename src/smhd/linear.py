@@ -150,9 +150,11 @@ class LinearResult:
     """Norm histories and snapshots of a half-plane run.
 
     The recorded norms are discrete stand-ins for the energy-estimate
-    quantities: interior L2 and a first-difference-quotient norm for U,
-    the boundary trace of U, and the front perturbation.  ``p_triple``
-    holds p at the last three time levels, or None for a one-step run.
+    quantities: the interior L2 norm of U; the L2 norm of U together with
+    its undivided first differences (x1 neighbours, periodic x2
+    neighbours); the boundary trace of U; and the front perturbation.
+    ``p_triple`` holds p at the last three time levels, or None for a
+    one-step run.
     """
 
     times: Array

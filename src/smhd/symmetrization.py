@@ -30,6 +30,7 @@ from .core import PhysParams, State, symmetric_matrices, where
 from .errors import (
     ConstraintViolation,
     HeightMismatch,
+    InvalidParameter,
     NotSymmetricCase,
     ZeroTangentialField,
 )
@@ -321,7 +322,8 @@ def cvs_nsc_verdict(
     a <= 2 b or a >= 2 sqrt(b^2 + 2 G); the strict variant plus avoidance
     of four closed-form exceptional equalities gives the nonlinear
     verdict.  Points within tol (relative) of any equality are reported
-    as exceptional, never resolved by guessing.
+    as exceptional, never resolved by guessing.  A b^2 + G that underflows
+    to 0 is an InvalidParameter.
     """
     _check_equal_heights(hat_plus, hat_minus, tol)
     b2p = float(hat_plus.B[1])
@@ -331,7 +333,10 @@ def cvs_nsc_verdict(
         raise NotSymmetricCase(f"need B2+ = -B2-, got {b2p} and {b2m}")
 
     a = abs(float(hat_plus.v[1] - hat_minus.v[1]))
-    code, index, margin = cvs_nsc_kernel(a, abs(b2p), params.g * hat_plus.h, tol)
+    big_g = params.g * hat_plus.h
+    if b2p * b2p + big_g == 0.0:
+        raise InvalidParameter(f"b^2 + g h underflows to 0 (B2+ = {b2p:g}, g h = {big_g:g})")
+    code, index, margin = cvs_nsc_kernel(a, abs(b2p), big_g, tol)
     if code == CODE_EXCEPTIONAL:
         return CvsVerdict(tag=CvsStability.EXCEPTIONAL_POINT, margin=float(margin),
                           index=int(index))

@@ -10,6 +10,7 @@ import pytest
 import smhd.fv
 from smhd.cli import EXIT_CODES, main
 from smhd.fv import SimConfig, simulate_1d, simulate_2d
+from smhd.ioutil import MAX_STEPS
 from smhd.linear import LinearConfig, linear_halfplane_simulate
 
 RATIONAL_PAIR = {
@@ -63,6 +64,20 @@ def test_classify_cvs_reports_symmetrizer(tmp_path, capsys):
     assert doc["kind"] == "current-vortex-sheet"
     assert abs(doc["symmetrizer"]["lambda_plus"] - 0.25) < 1e-14
     assert doc["cvs_verdict"]["tag"] == "sufficiently-stable"
+
+
+def test_classify_json_format_prints_document(tmp_path, capsys):
+    # B2 = 0 on both sides: the sheet classifies, but its symmetrizer does not exist
+    sheet = _with(CVS_PAIR, ("plus",), B=[0.0, 0.0])
+    sheet["minus"]["B"] = [0.0, 0.0]
+    code = main(["classify", "--input", _write(tmp_path, "pair.json", sheet),
+                 "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    doc = json.loads(out[out.index("{"):])
+    assert doc["kind"] == "current-vortex-sheet"
+    assert doc["cvs_verdict"]["tag"] == "unavailable"
+    assert "symmetrizer" not in doc and not (tmp_path / "classify.json").exists()
 
 
 def test_classify_inadmissible_exit_code(tmp_path, capsys):
@@ -350,6 +365,9 @@ NAN = float("nan")
 BAD_INPUTS = {
     "nsc-g-zero": (["stability", "nsc", "--g", "0"], None),
     "nsc-infinite-jump": (["stability", "nsc", "--v2-jump", "inf"], None),
+    # b^2 + g h underflows to 0
+    "nsc-underflow": (["stability", "nsc", "--v2-jump", "1", "--b2-plus", "1e-200", "--h", "1e-300",
+                       "--g", "1e-300"], None),
     "shock-g-zero": (["shock", "1", "2", "0.5", "0", "--g", "0"], None),
     "shock-b1-overflow": (["shock", "1", "2", "1e200", "0"], None),
     "shock-h6-overflow": (["shock", "3.3e61", "3", "3.4e-109", "0", "--g", "1.27e-57"], None),
@@ -523,6 +541,25 @@ def test_fv_run_beyond_max_steps_exit_1(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"simulate: the run needs more than MAX_STEPS = {steps} ")
+    assert not (tmp_path / "timeseries.csv").exists()
+
+
+def test_fv_run_beyond_max_steps_at_first_step(tmp_path, capsys, monkeypatch):
+    # the first dt already shows that the run needs more than MAX_STEPS steps: no step is taken
+    calls = []
+    check = smhd.fv._check_positive
+    monkeypatch.setattr(smhd.fv, "_check_positive", lambda q, t: calls.append(t) or check(q, t))
+    assert main(["simulate", "--config", _write(tmp_path, "c.json", VORTEX_2D),
+                 "--out", str(tmp_path / "short")]) == 0
+    assert calls
+    calls.clear()
+    doc = _with(VORTEX_2D, cells=[256, 256], end_time=1e300)
+    assert main(["simulate", "--config", _write(tmp_path, "c.json", doc),
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"simulate: the run needs more than MAX_STEPS = {MAX_STEPS} ")
+    assert calls == []
     assert not (tmp_path / "timeseries.csv").exists()
 
 

@@ -53,6 +53,11 @@ def test_nonpositive_height_rejected():
         primitive_from_conserved([-0.5, 0, 0, 0, 0])
 
 
+def test_unknown_quasilinear_form_rejected():
+    with pytest.raises(ValueError, match="unknown quasilinear form"):
+        quasilinear_matrices(State(h=1.0, v=[0, 0], B=[0, 0]), PhysParams(1.0), "conserved")
+
+
 def test_flux_hydrostatic_rest():
     f1, f2 = fluxes(State(h=1.0, v=[0, 0], B=[0, 0]), PhysParams(1.0))
     assert np.array_equal(f1, [0, 0.5, 0, 0, 0])

@@ -1,8 +1,11 @@
 import numpy as np
+import pytest
 import scipy.linalg as sla
 
 from smhd.core import PRESSURE, FrontGeometry, PhysParams, State, fluxes, quasilinear_matrices
-from smhd.elastic import elastic_fluxes, elastic_quasilinear_matrices, embed_elastodynamics
+from smhd.elastic import (ElasticState, elastic_fluxes, elastic_quasilinear_matrices,
+                          embed_elastodynamics)
+from smhd.errors import NonPositiveHeight
 from smhd.shock import characteristic_speeds
 
 from conftest import random_state
@@ -59,3 +62,10 @@ def test_full_system_symmetric(rng):
     es = embed_elastodynamics(u, p)
     for m in elastic_quasilinear_matrices(es):
         assert np.array_equal(m, m.T)
+
+
+def test_nonpositive_density_rejected():
+    for rho in (0.0, -1.0):
+        with pytest.raises(NonPositiveHeight, match="density must be positive"):
+            ElasticState(rho=rho, v=[0.0, 0.0], F1=[1.0, 0.0], F2=[0.0, 1.0], eos_A=0.5,
+                         eos_gamma=2.0)

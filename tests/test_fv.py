@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -448,6 +449,15 @@ def test_config_validation_errors():
                 {"extents": (-math.inf, 1.0)}, {"dt_fixed": -0.01}, {"dt_fixed": 0.0}]:
         with pytest.raises(ConfigError):
             _riemann_cfg(**bad)
+    # a q0 override of the wrong shape, and a config of the other dimension
+    vortex = SimConfig(dimensions=2, cells=(16, 8), extents=((0.0, 1.0), (0.0, 1.0)),
+                       end_time=0.1, initial={"type": "vortex"})
+    with pytest.raises(ConfigError, match="does not match the grid"):
+        simulate_2d(vortex, q0=np.ones((5, 8, 16)))
+    with pytest.raises(ConfigError, match="simulate_1d needs a 1-dimensional config"):
+        simulate_1d(vortex)
+    with pytest.raises(ConfigError, match="simulate_2d needs a 2-dimensional config"):
+        simulate_2d(_riemann_cfg(cells=16))
 
 
 def test_front_positions_interpolation():
@@ -456,6 +466,47 @@ def test_front_positions_interpolation():
     pos = front_positions(x, h, 1.5)
     assert pos.shape == (1,)
     assert abs(pos[0] - 1.5) < 1e-14
+
+
+def _front_positions_per_row(x, h, level):
+    """The per-row loop that front_positions replaced, kept as its oracle."""
+    h2 = h[:, None] if h.ndim == 1 else h
+    cross = (h2[:-1, :] < level) & (h2[1:, :] >= level)
+    out = np.full(h2.shape[1], np.nan)
+    for j in range(h2.shape[1]):
+        idx = np.nonzero(cross[:, j])[0]
+        if idx.size == 0:
+            continue
+        i = idx[0]
+        t = (level - h2[i, j]) / (h2[i + 1, j] - h2[i, j])
+        out[j] = x[i] + t * (x[i + 1] - x[i])
+    return out
+
+
+def test_front_positions_rows_match_per_row_loop(rng):
+    x = np.cumsum(rng.uniform(0.5, 1.5, 8))
+    rows = [
+        [1.0, 1.2, 1.4, 1.3, 1.1, 1.0, 1.2, 1.4],  # never reaches 1.5
+        [1.0, 2.0, 1.0, 2.0, 2.0, 1.0, 2.0, 2.0],  # two upward crossings: the first wins
+        [1.0, 1.5, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0],  # reaches the level at a cell centre
+        [1.5] * 8,                                 # flat at the level
+        [2.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],  # downward crossing only
+        [1.0] * 7 + [1.5],                         # crosses at the last face
+    ]
+    h = np.column_stack(rows + [rng.uniform(1.0, 2.0, 8) for _ in range(6)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pos = front_positions(x, h, 1.5)
+    assert np.array_equal(pos.view(np.int64), _front_positions_per_row(x, h, 1.5).view(np.int64))
+    assert np.isnan(pos[[0, 3, 4]]).all()
+    assert pos[1] == x[0] + 0.5 * (x[1] - x[0]) and pos[2] == x[1] and pos[5] == x[7]
+    for col in (0, 1, 6):
+        assert np.array_equal(front_positions(x, h[:, col], 1.5),
+                              _front_positions_per_row(x, h[:, col], 1.5), equal_nan=True)
+
+
+def test_transition_band_width_without_cells_in_band():
+    assert transition_band_width(np.arange(4.0), np.array([1.0, 1.0, 2.0, 2.0]), 10.0) == 0.0
 
 
 def test_divergence_residual_zero_for_uniform():

@@ -120,6 +120,14 @@ def test_wave_equation_residual_truncation_order():
     assert ratios[1] < 0.8 * ratios[0]
 
 
+def test_wave_operator_residual_needs_three_time_levels():
+    setup = _setup()
+    res = linear_halfplane_simulate(setup, _cfg(cells=(16, 8), end_time=1e-6))
+    assert res.steps == 1 and res.p_triple is None
+    with pytest.raises(ValueError, match="no three time levels"):
+        wave_operator_residual(res, setup)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         LinearConfig(cells=(4, 4), extents=((0, 8), (0, 4)), end_time=1.0, pulse={})

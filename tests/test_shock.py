@@ -70,6 +70,11 @@ def test_degenerate_height_rejected():
     minus = State(h=1.0, v=[2, 0], B=[1, 0])
     with pytest.raises(DegenerateHeight):
         hugoniot_downstream(minus, 0.0, 1.0, PhysParams(1.0))
+    for h_plus in (0.0, -2.0):
+        with pytest.raises(DegenerateHeight, match="downstream height must be positive"):
+            hugoniot_downstream(minus, 0.0, h_plus, PhysParams(1.0))
+    with pytest.raises(ValueError, match="mass_flux_sign"):
+        hugoniot_downstream(minus, 0.0, 2.0, PhysParams(1.0), mass_flux_sign=0)
 
 
 def test_random_hugoniot_pairs_are_shocks(rng):

@@ -64,7 +64,7 @@ def _pointwise(spec):
             p = {**spec.fixed, spec.x_axis.name: xv, spec.y_axis.name: yv}
             try:
                 codes[i, j], margins[i, j] = _point(spec.verdict, p)
-            except (SmhdError, ArithmeticError):
+            except SmhdError:
                 codes[i, j], margins[i, j] = CODE_INVALID, 0.0
     return codes, margins
 
@@ -113,6 +113,8 @@ GRIDS = [
     ("lax", ("b1_plus", 1e-320, 1e300, 41), ("ratio", 0.5, 2.0, 7), {}),
     ("lax", ("h_minus", 1e55, 1e62, 15), ("ratio", 0.5, 3.0, 6), {"g": 1e-57, "b1_plus": 1e-100}),
     ("lax", ("ratio", 0.5, 2.0, 4), ("g", 0.5, 2.0, 3), {"b2": math.inf}),
+    # Tiny h and g whose product underflows to 0 at some points and not at others.
+    ("cvs-nsc", ("h", 0.0, 4e-162, 5), ("g", 0.0, 4e-162, 5), {"v2_jump": 1.0, "b2_plus": 1e-200}),
 ]
 
 
@@ -151,6 +153,13 @@ def test_invalid_rows():
     g = np.linspace(-0.5, 1.5, 21)
     assert np.all(codes[:, g <= 0.0] == CODE_INVALID)
     assert np.all(codes[:, g > 0.0] != CODE_INVALID)
+
+    # b^2 + g h underflows to 0 (b^2 already does): invalid although h and g are > 0
+    spec = _spec(*GRIDS[-1])
+    codes, _ = run_sweep(spec)
+    underflow = spec.x_axis.values[:, None] * spec.y_axis.values[None, :] == 0.0
+    assert np.array_equal(codes == CODE_INVALID, underflow)
+    assert underflow[1:, 1:].any() and not underflow.all()
 
 
 @pytest.mark.parametrize("verdict,x,y,fixed", [
