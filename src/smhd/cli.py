@@ -23,7 +23,7 @@ from .core import PhysParams
 from .errors import CflViolation, ConfigError, NonFiniteState, PositivityLoss, SmhdError
 from .fv import SimConfig, simulate_1d, simulate_2d
 from .ioutil import dump_json, load_json, side_pair_from_doc, side_pair_to_doc, write_rows_csv
-from .jumps import DEFAULT_TOL, DiscontinuityType, classify, rh_residual, trace_quantities
+from .jumps import DiscontinuityType, classify, rh_residual, trace_quantities
 from .linear import LinearConfig, linear_halfplane_simulate
 from .shock import lax_verdict, linearized_setup, rectilinear_shock
 from .sweep import SweepSpec, run_sweep, sweep_csv, sweep_svg, symmetric_pair
@@ -37,7 +37,10 @@ EXIT_CODES = {PositivityLoss: 3, CflViolation: 4, NonFiniteState: 5}
 
 def _out_dir(args) -> Path:
     out = Path(args.out) if getattr(args, "out", None) else Path.cwd()
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write to --out {out}: {exc.strerror}") from exc
     return out
 
 
@@ -45,7 +48,7 @@ def cmd_classify(args) -> int:
     if not args.input:
         raise ConfigError("--input must name a side-pair JSON file")
     sp = side_pair_from_doc(load_json(args.input))
-    kind = classify(sp, tol=args.tol)
+    kind = classify(sp)
     tq = trace_quantities(sp)
     res = rh_residual(sp)
     doc = {
@@ -56,8 +59,9 @@ def cmd_classify(args) -> int:
         "residual_scale": res.scale,
         "traces": dataclasses.asdict(tq),
     }
+    diag = choice = None
     if kind.kind is DiscontinuityType.SHOCK:
-        diag = lax_verdict(sp, tol=args.tol)
+        diag = lax_verdict(sp)
         doc["lax"] = {"satisfied": diag.satisfied, "k": diag.k,
                       "height_jump": diag.height_jump}
     if kind.kind is DiscontinuityType.CURRENT_VORTEX_SHEET:
@@ -71,20 +75,19 @@ def cmd_classify(args) -> int:
             }
             doc["cvs_verdict"] = {"tag": verdict.tag.value, "margin": verdict.margin}
         except SmhdError as exc:
+            choice = None
             doc["cvs_verdict"] = {"tag": "unavailable", "error": str(exc)}
 
     print(f"kind: {kind}")
     print(f"residual: max |r| = {res.max_abs:.6e} (scale {res.scale:.6e})")
     print(f"traces: m = {tq.m_minus:.6g}, b = {tq.b_minus:.6g}, "
           f"[h] = {sp.plus.h - sp.minus.h:.6g}")
-    if "lax" in doc:
-        print(f"lax: satisfied={doc['lax']['satisfied']} k={doc['lax']['k']} "
-              f"[h]={doc['lax']['height_jump']:.6g}")
-    if "symmetrizer" in doc:
-        print(f"symmetrizer: lambda+ = {doc['symmetrizer']['lambda_plus']:.6g}, "
-              f"lambda- = {doc['symmetrizer']['lambda_minus']:.6g}")
-        margin = doc["cvs_verdict"].get("margin", 0.0)
-        print(f"cvs verdict: {doc['cvs_verdict']['tag']} (margin {margin:.6g})")
+    if diag:
+        print(f"lax: satisfied={diag.satisfied} k={diag.k} [h]={diag.height_jump:.6g}")
+    if choice:
+        print(f"symmetrizer: lambda+ = {choice.lambda_plus:.6g}, "
+              f"lambda- = {choice.lambda_minus:.6g}")
+        print(f"cvs verdict: {verdict.tag.value} (margin {verdict.margin:.6g})")
     if args.format == "json" or args.out:
         text = dump_json(doc, _out_dir(args) / "classify.json" if args.out else None)
         if args.format == "json":
@@ -135,7 +138,7 @@ def cmd_stability(args) -> int:
                "margin": verdict.margin}
     else:
         plus, minus = symmetric_pair(args.v2_jump, args.b2_plus, args.h)
-        verdict = cvs_nsc_verdict(plus, minus, PhysParams(g=args.g), tol=args.tol)
+        verdict = cvs_nsc_verdict(plus, minus, PhysParams(g=args.g))
         doc = {"verdict": verdict.tag.value, "margin": verdict.margin,
                "exceptional_index": verdict.index}
     text = dump_json(doc, _out_dir(args) / "stability.json" if args.out else None)
@@ -220,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify a two-sided state from JSON")
     p.add_argument("--input", required=False, default="", help="side-pair JSON file")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="relative zero tolerance")
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
                    help="margin for the sheet stability condition")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -244,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b2-plus", dest="b2_plus", type=float, default=1.0)
     p.add_argument("--h", type=float, default=1.0)
     p.add_argument("--g", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_stability)
 

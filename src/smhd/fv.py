@@ -19,7 +19,7 @@ division by h.  ``_hll_faces`` combines the ``[:-1]``/``[1:]`` slices of
 those per-cell terms into preallocated face buffers.  The CFL step
 takes its maximum speed from the interior cells of the same speed
 arrays, so a pinned inflow ghost never sets dt.  A non-finite wave
-speed or conservation defect aborts the run with NonFiniteState.
+speed or conservation defect, or zero CFL speeds, aborts with NonFiniteState.
 
 The update runs in place: each axis's flux difference goes into one
 state-shaped buffer allocated per run, is scaled by dt / dx and
@@ -474,6 +474,8 @@ def _simulate(cfg: SimConfig, source: Callable[..., Array] | None = None,
         rate = sum(s / d for s, d in zip(speeds, widths))  # Courant number per unit time
         if cfg.dt_fixed:
             dt = cfg.dt_fixed
+        elif (speeds[0] if ndim == 1 else rate) == 0.0:
+            raise NonFiniteState(t, f"all wave speeds are 0 at t={t:.6g}: infinite CFL step")
         elif ndim == 1:  # keeps the rounding of cfl * dx / smax
             dt = cfg.cfl * widths[0] / speeds[0]
         else:

@@ -80,14 +80,14 @@ def side_pair_from_doc(doc: dict) -> SidePair:
 
 
 def load_json(path: str | Path) -> dict:
-    """The JSON object in ``path``; any other top-level value is a ConfigError."""
+    """The JSON object in ``path``; an unreadable file or a non-object is a ConfigError."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"no such file: {p}")
     try:
         with open(p, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"invalid JSON in {p}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{p}: top level must be a JSON object, got {type(doc).__name__}")

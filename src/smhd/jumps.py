@@ -197,10 +197,10 @@ _OUTCOMES = (
 KIND_INADMISSIBLE, KIND_SHOCK = 0, len(_OUTCOMES) - 1
 
 
-def kind_code(plus, minus, front: FrontGeometry, g, tol: float = DEFAULT_TOL):
+def kind_code(plus, minus, front: FrontGeometry, g):
     """Outcome index of ``classify`` for ``State``s or ``GridSide``s: the first test that holds."""
     tq = side_traces(plus, minus, front)
-    band = tol * residual_scale(tq, g)
+    band = DEFAULT_TOL * residual_scale(tq, g)
     m, b = tq.m_minus, tq.b_minus
     h_jump = plus.h - minus.h
     h_zero = abs(h_jump) <= band
@@ -217,20 +217,20 @@ def kind_code(plus, minus, front: FrontGeometry, g, tol: float = DEFAULT_TOL):
     return code
 
 
-def classify(sp: SidePair, tol: float = DEFAULT_TOL) -> DiscontinuityKind:
-    """Classify a two-sided state at the declared relative tolerance.
+def classify(sp: SidePair) -> DiscontinuityKind:
+    """Classify a two-sided state at the relative tolerance DEFAULT_TOL.
 
-    A quantity x counts as zero when |x| <= tol * scale.  Branch order
+    A quantity x counts as zero when |x| <= DEFAULT_TOL * scale.  Branch order
     is most-degenerate-first: inadmissible, continuous ([U] = 0),
     current-vortex sheet, Alfven, shock.  The residually-consistent but
     contradictory corner m = 0, b != 0 returns continuous with a
     diagnostic note; corners whose zero flags disagree with the implied
     algebra raise AmbiguousClassification rather than guessing.
     """
-    code = kind_code(sp.plus, sp.minus, sp.front, sp.params.g, tol)
+    code = kind_code(sp.plus, sp.minus, sp.front, sp.params.g)
     if code == KIND_INADMISSIBLE:
         res = rh_residual(sp)
-        band = tol * res.scale
+        band = DEFAULT_TOL * res.scale
         worst = int(np.argmax(np.abs(res.r)))
         return DiscontinuityKind(
             DiscontinuityType.INADMISSIBLE,

@@ -26,7 +26,6 @@ import numpy as np
 from .core import FrontGeometry, PhysParams, State, fast_speed, normal_speeds, sqrt
 from .errors import DegenerateHeight, InvalidParameter, InvalidRatio, LaxViolation, NotAShock
 from .jumps import (
-    DEFAULT_TOL,
     DiscontinuityType,
     GridSide,
     SidePair,
@@ -171,12 +170,12 @@ def lax_kernel(tq: TraceQuantities, h_plus, h_minus, g, speed):
     return satisfied, cg_plus, cg_minus
 
 
-def lax_verdict(sp: SidePair, tol: float = DEFAULT_TOL) -> ShockDiagnostics:
+def lax_verdict(sp: SidePair) -> ShockDiagnostics:
     """Evaluate the extreme 1-shock inequalities for a classified shock.
 
     Raises NotAShock when the pair does not classify as a shock.
     """
-    kind = classify(sp, tol=tol)
+    kind = classify(sp)
     if kind.kind is not DiscontinuityType.SHOCK:
         raise NotAShock(f"pair classifies as {kind}")
 

@@ -241,12 +241,12 @@ def nsc_curves(b, big_g):
             2.0 * np.sqrt(outer_sq))
 
 
-def cvs_nsc_kernel(a, b, big_g, tol=DEFAULT_TOL):
+def cvs_nsc_kernel(a, b, big_g):
     """Symmetric-sheet NSC on broadcastable arrays; returns (code, index, margin).
 
     ``a`` = |[v2]|, ``b`` = |B2+|, ``big_g`` = g h.  ``index`` is the
     first of the six curves of ``CvsVerdict`` (in index order) within
-    tol * max(1, a, 2 sqrt(b^2 + 2G)) of a, or 0.  The code is
+    DEFAULT_TOL * max(1, a, 2 sqrt(b^2 + 2G)) of a, or 0.  The code is
     CODE_EXCEPTIONAL there, else CODE_STABLE for a < 2b or
     a > 2 sqrt(b^2 + 2G), else CODE_UNSTABLE.  The margin is the
     distance to the matched curve, to the nearest of the six curves
@@ -255,7 +255,7 @@ def cvs_nsc_kernel(a, b, big_g, tol=DEFAULT_TOL):
     curves = nsc_curves(b, big_g)
     outer = curves[5]
     scale = where(a > 1.0, a, 1.0)
-    band = tol * where(outer > scale, outer, scale)
+    band = DEFAULT_TOL * where(outer > scale, outer, scale)
     index, matched, nearest = 0, 0.0, np.inf
     # From curve 6 down to 1, so the hit written last is the first in index order;
     # the running minima use a strict <, as min() does.
@@ -272,20 +272,15 @@ def cvs_nsc_kernel(a, b, big_g, tol=DEFAULT_TOL):
     return code, index, where(index > 0, matched, where(stable, nearest, boundary))
 
 
-def _check_equal_heights(hat_plus: State, hat_minus: State, tol: float) -> None:
-    """HeightMismatch unless the sheet's heights agree to tol * max(1, h+, h-)."""
-    if abs(hat_plus.h - hat_minus.h) > tol * max(1.0, hat_plus.h, hat_minus.h):
+def _check_equal_heights(hat_plus: State, hat_minus: State) -> None:
+    """HeightMismatch unless the sheet's heights agree to DEFAULT_TOL * max(1, h+, h-)."""
+    if abs(hat_plus.h - hat_minus.h) > DEFAULT_TOL * max(1.0, hat_plus.h, hat_minus.h):
         raise HeightMismatch(
             f"current-vortex sheet requires equal heights, got {hat_plus.h} and {hat_minus.h}"
         )
 
 
-def cvs_sufficient_verdict(
-    hat_plus: State,
-    hat_minus: State,
-    epsilon: float,
-    tol: float = DEFAULT_TOL,
-) -> CvsVerdict:
+def cvs_sufficient_verdict(hat_plus: State, hat_minus: State, epsilon: float) -> CvsVerdict:
     """Energy-method sufficient condition with margin epsilon.
 
     Stable when |B2+| + |B2-| - |[v2]| >= epsilon and at least one
@@ -294,7 +289,7 @@ def cvs_sufficient_verdict(
     The reported margin is the distance of |[v2]| to the stability
     boundary |B2+| + |B2-|.
     """
-    _check_equal_heights(hat_plus, hat_minus, tol)
+    _check_equal_heights(hat_plus, hat_minus)
     b2p = float(hat_plus.B[1])
     b2m = float(hat_minus.B[1])
     if b2p == 0.0 and b2m == 0.0:
@@ -310,33 +305,28 @@ def cvs_sufficient_verdict(
     )
 
 
-def cvs_nsc_verdict(
-    hat_plus: State,
-    hat_minus: State,
-    params: PhysParams,
-    tol: float = DEFAULT_TOL,
-) -> CvsVerdict:
+def cvs_nsc_verdict(hat_plus: State, hat_minus: State, params: PhysParams) -> CvsVerdict:
     """Necessary-and-sufficient verdict for the symmetric case B2+ = -B2-.
 
     With a = |[v2]|, b = |B2+| and G = g h, linear stability holds iff
     a <= 2 b or a >= 2 sqrt(b^2 + 2 G); the strict variant plus avoidance
     of four closed-form exceptional equalities gives the nonlinear
-    verdict.  Points within tol (relative) of any equality are reported
-    as exceptional, never resolved by guessing.  A b^2 + G that underflows
-    to 0 is an InvalidParameter.
+    verdict.  Points within DEFAULT_TOL (relative) of any equality are
+    reported as exceptional, never resolved by guessing.  A b^2 + G that
+    underflows to 0 is an InvalidParameter.
     """
-    _check_equal_heights(hat_plus, hat_minus, tol)
+    _check_equal_heights(hat_plus, hat_minus)
     b2p = float(hat_plus.B[1])
     b2m = float(hat_minus.B[1])
     field_scale = max(1.0, abs(b2p), abs(b2m))
-    if abs(b2p + b2m) > tol * field_scale:
+    if abs(b2p + b2m) > DEFAULT_TOL * field_scale:
         raise NotSymmetricCase(f"need B2+ = -B2-, got {b2p} and {b2m}")
 
     a = abs(float(hat_plus.v[1] - hat_minus.v[1]))
     big_g = params.g * hat_plus.h
     if b2p * b2p + big_g == 0.0:
         raise InvalidParameter(f"b^2 + g h underflows to 0 (B2+ = {b2p:g}, g h = {big_g:g})")
-    code, index, margin = cvs_nsc_kernel(a, abs(b2p), big_g, tol)
+    code, index, margin = cvs_nsc_kernel(a, abs(b2p), big_g)
     if code == CODE_EXCEPTIONAL:
         return CvsVerdict(tag=CvsStability.EXCEPTIONAL_POINT, margin=float(margin),
                           index=int(index))

@@ -519,6 +519,51 @@ def test_bad_value_names_its_field(tmp_path, capsys, argv, doc, field):
     assert f"{field} must" in capsys.readouterr().err
 
 
+# g h underflows to 0, so every wave speed is 0 and the CFL rule has no finite step
+ZERO_SPEED_STATE = {"h": 1e-300, "v": [0.0, 0.0], "B": [0.0, 0.0]}
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "fv", "dimensions": 1, "cells": [32], "extents": [[-1.0, 1.0]], "g": 1e-300,
+     "end_time": 0.1, "initial": {"type": "uniform", "state": ZERO_SPEED_STATE}},
+    {"kind": "fv", "dimensions": 2, "cells": [8, 8], "extents": [[0.0, 1.0], [0.0, 1.0]],
+     "g": 1e-300, "end_time": 0.1, "initial": {"type": "uniform", "state": ZERO_SPEED_STATE}},
+], ids=["1d", "2d"])
+def test_simulate_zero_wave_speeds_exit_5(tmp_path, capsys, doc):
+    assert main([*_argv(tmp_path, SIMULATE, doc), "--out", str(tmp_path)]) == 5
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("simulate: all wave speeds are 0 at t=0")
+    assert not (tmp_path / "timeseries.csv").exists()
+    doc = _with(doc, dt_fixed=0.05)
+    assert main([*_argv(tmp_path, SIMULATE, doc), "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("data", [b'\xff\xfe{"a": 1}', b'{"a": ' + b"[" * 100000],
+                         ids=["not-utf8", "nested-too-deep"])
+@pytest.mark.parametrize("argv", [["classify", "--input"], SIMULATE, SWEEP],
+                         ids=["classify", "simulate", "sweep"])
+def test_unreadable_document_exits_1_with_one_line(tmp_path, capsys, argv, data):
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    assert main([*argv, str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"{argv[0]}: invalid JSON in {path}: ")
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["shock", "1", "2", "0.5", "0"], None),
+    (["classify", "--input"], RATIONAL_PAIR),
+    (SWEEP, LAX_SWEEP),
+    (SIMULATE, RIEMANN_1D),
+], ids=["shock", "classify", "sweep", "simulate"])
+def test_out_naming_a_file_exits_1_with_one_line(tmp_path, capsys, argv, doc):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main([*_argv(tmp_path, argv, doc), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"{argv[0]}: cannot write to --out {out}: File exists"]
+
+
 def test_tiny_output_interval_records_every_step(tmp_path):
     # an interval far below dt records once per step instead of stalling the cadence
     doc = _with(RIEMANN_1D, cells=[16], output_interval=1e-300)
@@ -615,6 +660,8 @@ def test_exit_code_table_matches_docs(capsys):
     (["stability", "nsc", "--g", "abc"], 1),
     (["sweep"], 1),
     (["shock", "--help"], 0),
+    (["classify", "--tol", "1e-6"], 1),
+    (["stability", "nsc", "--tol", "1e-6"], 1),
 ])
 def test_parser_exit_codes(capsys, argv, code):
     with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -152,11 +154,15 @@ def test_tangential_jumps_forced_to_zero_when_noncharacteristic(rng):
         assert np.array_equal(sol, [0.0, 0.0])
 
 
-def test_marginal_data_raise_ambiguous():
-    # residual gate passes at a loose tolerance while [h] stays clearly
-    # nonzero: contradictory zero flags must not be silently resolved
-    plus = State(h=2.0, v=[0.0, 1.0], B=[0.0, 0.5])
-    minus = State(h=1.0, v=[0.0, -1.0], B=[0.0, -0.5])
-    sp = _pair(plus, minus, speed=0.0, g=0.1)
-    with pytest.raises(AmbiguousClassification):
-        classify(sp, tol=0.5)
+@pytest.mark.parametrize("plus, minus, message", [
+    (State(h=2.0, v=[0.0, 0.0], B=[0.0, 0.0]), State(h=1.0, v=[0.0, 0.0], B=[0.0, 0.0]),
+     "m = b = 0 within tolerance but [h] != 0"),
+    (State(h=2.0, v=[0.5, 0.0], B=[0.5, 0.0]), State(h=1.0, v=[1.0, 0.0], B=[1.0, 0.0]),
+     "m^2 = b^2 within tolerance but [h] != 0"),
+], ids=["sheet", "alfven"])
+def test_marginal_data_raise_ambiguous(plus, minus, message):
+    # with g = 1e-300 the height term of the residual drops below the band while
+    # [h] stays clearly nonzero: contradictory zero flags must not be silently resolved
+    sp = _pair(plus, minus, speed=0.0, g=1e-300)
+    with pytest.raises(AmbiguousClassification, match=re.escape(message)):
+        classify(sp)

@@ -210,21 +210,23 @@ def _sufficient_reference(jump, b2p, b2m, epsilon):
     (2.0, 0.0, 1.0, 1e-9),      # b = 0: curves 1, 4, 5 meet at a = 0, curves 2, 3 at a = 1
     (1e300, 1e200, 1e300, 1e-9),  # b^2 overflows: curve 4 is NaN
 ])
-def test_nsc_kernel_matches_closed_form(a_max, b_max, big_g, tol):
+def test_nsc_kernel_matches_closed_form(monkeypatch, a_max, b_max, big_g, tol):
+    monkeypatch.setattr("smhd.symmetrization.DEFAULT_TOL", tol)
     a = np.linspace(0.0, a_max, 81)[:, None]
     b = np.linspace(0.0, b_max, 41)[None, :] if b_max else np.zeros((1, 1))
     with np.errstate(all="ignore"):
-        codes, index, margins = cvs_nsc_kernel(a, b, big_g, tol)
+        codes, index, margins = cvs_nsc_kernel(a, b, big_g)
     for i in range(a.shape[0]):
         for j in range(b.shape[1]):
             ref = _nsc_reference(float(a[i, 0]), float(b[0, j]), big_g, tol)
             assert (int(codes[i, j]), int(index[i, j]), float(margins[i, j])) == ref
 
 
-def test_nsc_kernel_first_curve_wins():
+def test_nsc_kernel_first_curve_wins(monkeypatch):
     assert cvs_nsc_kernel(0.0, 0.0, 1.0)[:2] == (3, 1)
     assert cvs_nsc_kernel(1.0, 0.0, 1.0)[:2] == (3, 2)
-    assert cvs_nsc_kernel(1.0, 1.0, 1.0, 0.0)[:2] == (3, 1)
+    monkeypatch.setattr("smhd.symmetrization.DEFAULT_TOL", 0.0)
+    assert cvs_nsc_kernel(1.0, 1.0, 1.0)[:2] == (3, 1)
 
 
 def test_sufficient_kernel_matches_closed_form():
