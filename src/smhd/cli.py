@@ -48,6 +48,7 @@ def cmd_classify(args) -> int:
     if not args.input:
         raise ConfigError("--input must name a side-pair JSON file")
     sp = side_pair_from_doc(load_json(args.input))
+    out = _out_dir(args) if args.out else None  # before any report line is printed
     kind = classify(sp)
     tq = trace_quantities(sp)
     res = rh_residual(sp)
@@ -88,8 +89,8 @@ def cmd_classify(args) -> int:
         print(f"symmetrizer: lambda+ = {choice.lambda_plus:.6g}, "
               f"lambda- = {choice.lambda_minus:.6g}")
         print(f"cvs verdict: {verdict.tag.value} (margin {verdict.margin:.6g})")
-    if args.format == "json" or args.out:
-        text = dump_json(doc, _out_dir(args) / "classify.json" if args.out else None)
+    if args.format == "json" or out:
+        text = dump_json(doc, out / "classify.json" if out else None)
         if args.format == "json":
             print(text)
     return 2 if kind.kind is DiscontinuityType.INADMISSIBLE else 0

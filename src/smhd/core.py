@@ -29,7 +29,7 @@ of h B2 vanish identically.  That mirrors the transport structure of the
 constraint div(h B) = 0, which is carried by the initial data rather
 than enforced by the equations.
 
-The flux (``axis_flux``) and the fast speed (``fast_speed``) each live
+The fluxes (``axis_fluxes``) and the fast speed (``fast_speed``) each live
 here only; the pointwise API, the Lax verdict and its sweep kernel, and
 the simulator call them on floats or arrays.  Formulas shared by a
 scalar and an array path square by products, not ``**``: ``x**2`` of a
@@ -147,42 +147,43 @@ def primitive_from_conserved(q: np.ndarray) -> State:
     return State(h=q[0], v=q[1:3] / q[0], B=q[3:5] / q[0])
 
 
-def axis_flux(q, v, b, g, axis: int, out=None):
-    """Physical flux along x1 (axis 0) or x2 (axis 1) of conserved fields
-    q = (h, h v1, h v2, h B1, h B2) with their velocity ``v`` and field ``b``
-    pairs (scalars or arrays).  With w = h (B1 v2 - B2 v1), rounded as
-    hB1 v2 - hB2 v1:
+def axis_fluxes(q, v, b, g, ndim: int = 2, out=None):
+    """Physical fluxes along the first ``ndim`` axes (x1, then x2) of conserved
+    fields q = (h, h v1, h v2, h B1, h B2) with their velocity ``v`` and field
+    ``b`` pairs (scalars or arrays).  With the pressure g h^2/2, w = h (B1 v2 - B2 v1),
+    rounded as hB1 v2 - hB2 v1, and the shared term s = h v1 v2 - h B1 B2, rounded
+    as hv1 v2 - hB1 B2:
 
-        F1 = (h v1, h v1^2 - h B1^2 + g h^2/2, h v1 v2 - h B1 B2, 0, -w)
-        F2 = (h v2, h v1 v2 - h B1 B2, h v2^2 - h B2^2 + g h^2/2, w, 0)
+        F1 = (h v1, h v1^2 - h B1^2 + g h^2/2, s, 0, -w)
+        F2 = (h v2, s, h v2^2 - h B2^2 + g h^2/2, w, 0)
 
-    The zero entries are the curl structure of the induction rows; the
-    x2 flux never reads B1.  ``out``, if given, receives the flux.
+    Each shared term is evaluated once for both axes.  The zero entries are the
+    curl structure of the induction rows.  The result (or ``out``) has shape
+    (ndim, 5, ...).
     """
     h = q[0]
     v1, v2 = v
     pres = 0.5 * g * h * h
     w = q[3] * v2 - q[4] * v1
-    f = np.empty_like(q) if out is None else out
-    if axis == 0:
-        f[0] = q[1]
-        f[1] = q[1] * v1 - q[3] * b[0] + pres
-        f[2] = q[1] * v2 - q[3] * b[1]
-        f[3] = 0.0
-        f[4] = -w
-    else:
-        f[0] = q[2]
-        f[1] = q[1] * v2 - q[3] * b[1]
-        f[2] = q[2] * v2 - q[4] * b[1] + pres
-        f[3] = w
-        f[4] = 0.0
+    shared = q[1] * v2 - q[3] * b[1]
+    f = np.empty((ndim, *np.shape(q))) if out is None else out
+    f[0, 0] = q[1]
+    f[0, 1] = q[1] * v1 - q[3] * b[0] + pres
+    f[0, 2] = shared
+    f[0, 3] = 0.0
+    f[0, 4] = -w
+    if ndim == 2:
+        f[1, 0] = q[2]
+        f[1, 1] = shared
+        f[1, 2] = q[2] * v2 - q[4] * b[1] + pres
+        f[1, 3] = w
+        f[1, 4] = 0.0
     return f
 
 
 def fluxes(u: State, params: PhysParams) -> tuple[np.ndarray, np.ndarray]:
     """Physical fluxes (F1, F2) of the conservation-law form at one state."""
-    q = conserved_from_primitive(u)
-    return axis_flux(q, u.v, u.B, params.g, 0), axis_flux(q, u.v, u.B, params.g, 1)
+    return tuple(axis_fluxes(conserved_from_primitive(u), u.v, u.B, params.g))
 
 
 def symmetric_matrices(u: State, k0: float, w: float, c: float,

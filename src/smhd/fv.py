@@ -11,21 +11,25 @@ intermediate height stays positive (Einfeldt et al., JCP 92 (1991) 273).
 ``simulate_1d`` and ``simulate_2d`` run the same time loop
 (``_simulate``) over their active axes: the CFL rate, the flux-difference
 update and the boundary-flux conservation defect are sums over axes.
-Each step makes one pass per axis (``_AxisSweep.faces``): the state
-and its ghost cells are copied into a padded buffer allocated once per
-run, and ``_cell_terms`` evaluates the flux and the extreme wave speeds
-(``core.axis_flux``, ``core.fast_speed``) once per padded cell from one
-division by h.  ``_hll_faces`` combines the ``[:-1]``/``[1:]`` slices of
-those per-cell terms into preallocated face buffers.  The CFL step
-takes its maximum speed from the interior cells of the same speed
-arrays, so a pinned inflow ghost never sets dt.  A non-finite wave
-speed or conservation defect, or zero CFL speeds, aborts with NonFiniteState.
+Each run holds one ghost-padded state (``_PaddedState``), shaped
+(5, n1 + 2, n2 + 2) or (5, n + 2) and read flat as (5, L).  A step copies
+q into it once, refreshes the ghost cells, and evaluates every cell's
+fluxes along both axes (``core.axis_fluxes``) and extreme wave speeds
+(``core.fast_speed``) once, from one division by h.  Cells that
+neighbour along an axis lie a fixed flat offset apart (n2 + 2 along x1,
+1 along x2 and in 1D), so ``_hll_faces`` forms the faces of either axis
+from two contiguous slices of those flat arrays.  Faces that straddle a
+ghost column or a row end are computed and never read.  The CFL step
+takes its maximum speed from the interior cells of the speed arrays, so
+a pinned inflow ghost never sets dt.  A non-finite wave speed or
+conservation defect, or zero CFL speeds, aborts with NonFiniteState.
 
-The update runs in place: each axis's flux difference goes into one
-state-shaped buffer allocated per run, is scaled by dt / dx and
-subtracted from q, so a step makes no full-state temporary.  The cell
-sums are taken once per step; they are the record row's sums and the
-next step's reference for the conservation defect.  The grid and the
+The update runs in place: each axis's flux difference is taken over the
+flat face array into one buffer allocated per run, scaled by dt / dx and
+subtracted from the interior cells of q, so a step makes no full-state
+temporary.  q stays its own contiguous array, so the cell sums, taken
+once per step, keep their rounding; they are the record row's sums and
+the next step's reference for the conservation defect.  The grid and the
 record cadence are ``ioutil.cell_grid`` and ``ioutil.Recorder``, shared
 with the linear solver.
 
@@ -42,8 +46,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (PhysParams, State, axis_flux, conserved_from_primitive, fast_speed, fluxes,
-                   normal_speeds)
+from .core import (PhysParams, State, axis_fluxes, conserved_from_primitive, fast_speed,
+                   fluxes, normal_speeds)
 from .errors import CflViolation, ConfigError, NonFiniteState, PositivityLoss
 from .ioutil import (MAX_CELLS, MAX_STEPS, Recorder, cell_grid, check_count, check_float,
                      check_keys, check_number, check_pair, check_run_fields, config_kwargs,
@@ -76,62 +80,42 @@ def hll_flux(left: State, right: State, unit_normal, params: PhysParams) -> Arra
     sl_r = normal_speeds(right, params, n)
     lo = np.array([sl_l[0], sl_r[0]])
     hi = np.array([sl_l[-1], sl_r[-1]])
-    return _hll_faces(q, f, lo, hi, 0, _FaceBuffers((1,)))[:, 0].copy()
-
-
-def _cell_terms(q: Array, g: float, axis: int, prim: Array | None = None,
-                f: Array | None = None) -> tuple[Array, Array, Array]:
-    """Physical flux and extreme wave speeds (lo, hi) of every cell along ``axis``, from
-    one q / h; ``prim`` and ``f`` optionally receive v, B and the flux (run buffers)."""
-    h = q[0]
-    prim = np.divide(q[1:], h, out=prim)  # v1, v2, B1, B2
-    v, b = prim[:2], prim[2:]
-    cg = fast_speed(b[axis], h, g)
-    return axis_flux(q, v, b, g, axis, f), v[axis] - cg, v[axis] + cg
-
-
-def _index(ndim: int, axis: int, part: slice) -> tuple:
-    """Index selecting ``part`` along ``axis`` of an ndim array."""
-    idx = [slice(None)] * ndim
-    idx[axis] = part
-    return tuple(idx)
-
-
-def _sides(a: Array, axis: int) -> tuple[Array, Array]:
-    """Views of ``a`` at the left and the right cell of every face along ``axis``."""
-    return a[_index(a.ndim, axis, slice(None, -1))], a[_index(a.ndim, axis, slice(1, None))]
+    return _hll_faces(q, f, lo, hi, 1, _FaceBuffers(1))[:, 0].copy()
 
 
 class _FaceBuffers:
-    """Preallocated face-shaped outputs and temporaries of ``_hll_faces``."""
+    """Preallocated outputs and temporaries of ``_hll_faces`` for ``size`` faces."""
 
-    def __init__(self, face_shape: tuple[int, ...]):
-        self.flux = np.empty((5, *face_shape))
-        self.tmp = np.empty((5, *face_shape))
-        self.s_left = np.empty(face_shape)
-        self.s_right = np.empty(face_shape)
-        self.denom = np.empty(face_shape)
-        self.prod = np.empty(face_shape)
-        self.mask = np.empty(face_shape, dtype=bool)
+    def __init__(self, size: int):
+        self.flux = np.empty((5, size))
+        self.tmp = np.empty((5, size))
+        self.s_left = np.empty(size)
+        self.s_right = np.empty(size)
+        self.denom = np.empty(size)
+        self.prod = np.empty(size)
+        self.mask = np.empty(size, dtype=bool)
 
 
-def _hll_faces(q: Array, f: Array, lo: Array, hi: Array, axis: int,
+def _hll_faces(q: Array, f: Array, lo: Array, hi: Array, offset: int,
                buf: _FaceBuffers) -> Array:
-    """HLL flux at every face between neighbouring cells along ``axis``.
+    """HLL flux at every face between flat cells k and k + ``offset``.
 
-    ``q`` and ``f`` are per-cell conserved fields and physical fluxes
-    (component first), ``lo``/``hi`` the per-cell extreme speeds; each
-    was evaluated once per cell.  The two sides of a face are the slices
-    ``[:-1]`` and ``[1:]``.  The result is written into ``buf.flux`` with
-    the operation order of the two-sided formula, so it is bit-identical
-    to evaluating each face from its two states.
+    ``q`` and ``f`` are per-cell conserved fields and physical fluxes, shaped
+    (5, offset + n), and ``lo``/``hi`` the per-cell extreme speeds; each was
+    evaluated once per cell.  The two sides of the n faces are the slices
+    ``[:n]`` and ``[offset:]``, and ``buf`` holds n faces.  The result is
+    written into ``buf.flux`` with the operation order of the two-sided
+    formula, so it is bit-identical to evaluating each face from its two
+    states.  A masked copy whose mask is empty is skipped.
     """
-    ql, qr = _sides(q, 1 + axis)
-    fl, fr = _sides(f, 1 + axis)
-    s_left = np.minimum(*_sides(lo, axis), out=buf.s_left)
-    s_right = np.maximum(*_sides(hi, axis), out=buf.s_right)
+    n = q.shape[1] - offset
+    ql, qr = q[:, :n], q[:, offset:]
+    fl, fr = f[:, :n], f[:, offset:]
+    s_left = np.minimum(lo[:n], lo[offset:], out=buf.s_left)
+    s_right = np.maximum(hi[:n], hi[offset:], out=buf.s_right)
     denom = np.subtract(s_right, s_left, out=buf.denom)
-    np.copyto(denom, 1.0, where=np.equal(denom, 0.0, out=buf.mask))
+    if np.count_nonzero(np.equal(denom, 0.0, out=buf.mask)):
+        np.copyto(denom, 1.0, where=buf.mask)
     out = np.multiply(s_right, fl, out=buf.flux)
     tmp = np.multiply(s_left, fr, out=buf.tmp)
     out -= tmp
@@ -139,58 +123,97 @@ def _hll_faces(q: Array, f: Array, lo: Array, hi: Array, axis: int,
     tmp *= np.multiply(s_left, s_right, out=buf.prod)
     out += tmp
     out /= denom
-    np.copyto(out, fr, where=np.less_equal(s_right, 0.0, out=buf.mask))
-    np.copyto(out, fl, where=np.greater_equal(s_left, 0.0, out=buf.mask))
+    if np.count_nonzero(np.less_equal(s_right, 0.0, out=buf.mask)):
+        np.copyto(out, fr, where=buf.mask)
+    if np.count_nonzero(np.greater_equal(s_left, 0.0, out=buf.mask)):
+        np.copyto(out, fl, where=buf.mask)
     return out
 
 
-class _AxisSweep:
-    """The padded copy of the state along one axis, allocated once per run.
+def _index(ndim: int, axis: int, part) -> tuple:
+    """Index of a padded (5, ...) array: ``part`` along ``axis``, the interior along
+    every other axis."""
+    return (slice(None), *(part if k == axis else slice(1, -1) for k in range(ndim)))
 
-    ``sides`` gives the ghost cell at each end: ``"periodic"``,
-    ``"outflow"`` (copy of the edge cell) or a pinned conserved 5-vector
-    (inflow), which is written once here and never touched again.
+
+class _PaddedState:
+    """The state with one ghost cell at each end of every axis, allocated once per run.
+
+    The padded array has shape (5, n1 + 2, n2 + 2), or (5, n + 2) in 1D, and
+    is read flat as (5, L).  Cells that neighbour along an axis lie a fixed
+    flat offset apart: n2 + 2 along x1, 1 along x2 and in 1D.  So along
+    either axis the faces k = 0 .. L - 1, between flat cells k and
+    k + offset, have their two sides in contiguous slices, and their fluxes
+    form one contiguous (5, L) array that reshapes to the padded shape.  The
+    flat arrays run one x1 offset past L so that every one of those faces
+    has a right cell.  Faces that straddle a ghost column, a row end or the
+    end of the padded array are computed and never read.
+
+    ``sides[axis]`` gives the ghost cell at each end of that axis:
+    ``"periodic"``, ``"outflow"`` (copy of the edge cell) or a pinned
+    conserved 5-vector (inflow), which is written once here and never
+    touched again.  The corner cells and the cells past L belong to no face
+    that is read; they hold h = 1 so that every cell term stays finite.
     """
 
-    def __init__(self, shape: tuple[int, ...], axis: int, sides, g: float):
-        self.axis = axis
-        self.g = g
-        ndim = 1 + len(shape)
-        cell = 1 + axis
-        padded = list(shape)
-        padded[axis] += 2
-        self.qg = np.empty((5, *padded))
-        self.prim = np.empty((4, *padded))
-        self.f = np.empty((5, *padded))
-        self.interior = self.qg[_index(ndim, cell, slice(1, -1))]
-        self.speed_interior = _index(ndim - 1, axis, slice(1, -1))
-        ghosts = (slice(0, 1), slice(-1, None))
-        first, last = slice(1, 2), slice(-2, -1)  # edge cells of the interior
+    def __init__(self, cells: tuple[int, ...], sides, g: float):
+        ndim = len(cells)
+        shape = tuple(n + 2 for n in cells)
+        self.ndim, self.g, self.shape = ndim, g, shape
+        self.size = math.prod(shape)
+        self.offsets = [math.prod(shape[axis + 1:]) for axis in range(ndim)]
+        length = self.size + self.offsets[0]
+        self.flat = np.zeros((5, length))
+        self.flat[0] = 1.0
+        self.padded = self.flat[:, :self.size].reshape(5, *shape)
+        self.inner = (slice(None),) + (slice(1, -1),) * ndim
+        self.interior = self.padded[self.inner]
+        self.prim = np.empty((4, length))
+        self.f = np.empty((ndim, 5, length))
+        self.lo, self.hi = np.empty((2, ndim, length))  # extreme speeds along each axis
+        self.interior_speeds = self.cells(self.lo), self.cells(self.hi)
+        self.buf = _FaceBuffers(self.size)
+        first, last = 1, -2  # edge cells of the interior
         sources = {"outflow": (first, last), "periodic": (last, first)}
         self.copies = []  # (ghost, source) views refreshed every step
-        for end, side in enumerate(sides):
-            ghost = self.qg[_index(ndim, cell, ghosts[end])]
-            if isinstance(side, str):
-                self.copies.append((ghost, self.qg[_index(ndim, cell, sources[side][end])]))
-            else:
-                np.copyto(ghost, np.reshape(side, (5,) + (1,) * (ndim - 1)))
-        padded[axis] -= 1
-        self.buf = _FaceBuffers(tuple(padded))
+        for axis, ends in enumerate(sides):
+            for end, side in enumerate(ends):
+                ghost = self.padded[_index(ndim, axis, (0, -1)[end])]
+                if isinstance(side, str):
+                    self.copies.append((ghost, self.padded[_index(ndim, axis,
+                                                                   sources[side][end])]))
+                else:
+                    np.copyto(ghost, np.reshape(side, (5,) + (1,) * (ndim - 1)))
 
-    def faces(self, q: Array) -> tuple[Array, float]:
-        """HLL face fluxes along the axis and the largest interior wave speed.
-
-        Flux and extreme speeds are evaluated once per cell of the padded
-        buffer; ghost cells feed the boundary faces but not the speed,
-        so a pinned inflow state never sets the time step.
-        """
+    def load(self, q: Array) -> list[float]:
+        """Copy ``q`` in, refresh the ghosts, evaluate every cell's flux along each axis and
+        extreme speeds (lo, hi) from one q / h, and return the largest wave speed of
+        the interior cells per axis: a pinned inflow ghost never sets the time step.
+        As hi >= lo cell by cell, that speed is max(hi.max(), -lo.min())."""
         np.copyto(self.interior, q)
         for ghost, src in self.copies:
             np.copyto(ghost, src)
-        f, lo, hi = _cell_terms(self.qg, self.g, self.axis, self.prim, self.f)
-        smax = float(max(np.max(np.abs(lo[self.speed_interior])),
-                         np.max(np.abs(hi[self.speed_interior]))))
-        return _hll_faces(self.qg, f, lo, hi, self.axis, self.buf), smax
+        ndim, flat = self.ndim, self.flat
+        prim = np.divide(flat[1:], flat[0], out=self.prim)  # v1, v2, B1, B2
+        v, b = prim[:2], prim[2:]
+        axis_fluxes(flat, v, b, self.g, ndim, self.f)
+        cg = fast_speed(b[:ndim], flat[0], self.g)
+        np.subtract(v[:ndim], cg, out=self.lo)
+        np.add(v[:ndim], cg, out=self.hi)
+        lo, hi = self.interior_speeds
+        axes = tuple(range(1, ndim + 1))
+        return np.maximum(hi.max(axis=axes), -lo.min(axis=axes)).tolist()
+
+    def cells(self, a: Array) -> Array:
+        """The interior cells of a flat (k, L or more) array, shaped (k, *cells)."""
+        return a[:, :self.size].reshape(len(a), *self.shape)[self.inner]
+
+    def faces(self, axis: int) -> Array:
+        """HLL fluxes along ``axis`` of the loaded state, (5, L) and contiguous: column k
+        is the face between flat cells k and k + offset."""
+        end = self.size + self.offsets[axis]
+        return _hll_faces(self.flat[:, :end], self.f[axis, :, :end], self.lo[axis, :end],
+                          self.hi[axis, :end], self.offsets[axis], self.buf)
 
 
 # ---------------------------------------------------------------------------
@@ -433,12 +456,13 @@ def _simulate(cfg: SimConfig, source: Callable[..., Array] | None = None,
     cell_axes = tuple(range(1, ndim + 1))
     sides = ([states[end] if bc == "inflow" else bc for end, bc in enumerate(cfg.boundary_x1)],
              (cfg.boundary_x2,) * 2)
-    sweeps = [_AxisSweep(cfg.cells, axis, sides[axis], g) for axis in range(ndim)]
+    state = _PaddedState(cfg.cells, sides[:ndim], g)
     # face area normal to each axis: the product of the other widths (1.0 in 1D)
     areas = [math.prod(widths[:axis] + widths[axis + 1:]) for axis in range(ndim)]
     mesh = np.meshgrid(*centers, indexing="ij") if source is not None else None
     periodic = (cfg.boundary_x1[0] == "periodic", cfg.boundary_x2 == "periodic")
-    upd = np.empty_like(q)  # one axis's flux difference, then the source term, times dt
+    upd = np.empty((5, state.size))  # one axis's flux difference, then the source term, times dt
+    upd_cells = state.cells(upd)
     sums = q.sum(axis=cell_axes)  # cell sums of the current q
     t = 0.0
     steps = 0
@@ -469,7 +493,7 @@ def _simulate(cfg: SimConfig, source: Callable[..., Array] | None = None,
 
     rec.offer(t, False, row)
     while t < cfg.end_time - 1e-14:
-        faces, speeds = zip(*(sweep.faces(q) for sweep in sweeps))
+        speeds = state.load(q)
         _check_finite(sum(speeds), t, "wave speed")
         rate = sum(s / d for s, d in zip(speeds, widths))  # Courant number per unit time
         if cfg.dt_fixed:
@@ -485,17 +509,20 @@ def _simulate(cfg: SimConfig, source: Callable[..., Array] | None = None,
         dt = min(dt, cfg.end_time - t)
         before = sums
         boundary = 0.0
-        for axis, f in enumerate(faces):
-            left, right = _sides(f, 1 + axis)
-            np.subtract(right, left, out=upd)
-            upd *= dt / widths[axis]
-            q -= upd
-            first = f[_index(f.ndim, 1 + axis, 0)].sum(axis=cell_axes[:-1])
-            last = f[_index(f.ndim, 1 + axis, -1)].sum(axis=cell_axes[:-1])
+        for axis, s in enumerate(state.offsets):
+            # cell k has faces k - s and k; one difference over the whole flat buffer,
+            # whose entries that straddle two components are never read
+            f = state.faces(axis)
+            diff = np.subtract(f.reshape(-1)[s:], f.reshape(-1)[:-s], out=upd.reshape(-1)[s:])
+            diff *= dt / widths[axis]
+            q -= upd_cells
+            f = f.reshape(state.padded.shape)
+            first = f[_index(ndim, axis, 0)].sum(axis=cell_axes[:-1])
+            last = f[_index(ndim, axis, -2)].sum(axis=cell_axes[:-1])
             boundary = boundary + dt * areas[axis] * (last - first)
         if source is not None:
             s_arr = source(t, *mesh)
-            q += np.multiply(dt, s_arr, out=upd)
+            q += np.multiply(dt, s_arr, out=upd_cells)
         sums = q.sum(axis=cell_axes)
         defect = volume(sums - before) + boundary
         if source is not None:

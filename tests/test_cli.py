@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -560,8 +561,10 @@ def test_out_naming_a_file_exits_1_with_one_line(tmp_path, capsys, argv, doc):
     out = tmp_path / "taken"
     out.write_text("")
     assert main([*_argv(tmp_path, argv, doc), "--out", str(out)]) == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == [f"{argv[0]}: cannot write to --out {out}: File exists"]
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no partial report before the failure
+    assert captured.err.strip().splitlines() == [
+        f"{argv[0]}: cannot write to --out {out}: File exists"]
 
 
 def test_tiny_output_interval_records_every_step(tmp_path):
@@ -701,3 +704,28 @@ def test_simulate_csv_matches_plain_rendering(tmp_path, doc):
                               ((xv, yv, *q[:, i, j]) for i, xv in enumerate(x)
                                for j, yv in enumerate(res.grid["y"])))
     assert (tmp_path / "snapshot.csv").read_bytes() == snapshot
+
+
+# sha256 of (timeseries.csv, snapshot.csv) written by the fv simulator for three tiny
+# documents: the byte-determinism promise, pinned across changes to the step kernels
+PINNED_OUTPUTS = {
+    "riemann-1d": (_with(RIEMANN_1D, cells=[64], end_time=0.3, output_interval=0.05),
+                   "691ad3cbf29292b3baf54ae02baae67c6aad95f116b2f8dd9fa093faafa5a721",
+                   "ba73658da03d5b98d330d04d13277dd5f767fdb1f0b7a8702a53f36380873eec"),
+    "perturbed-shock-32x8": (_with(SHOCK_2D, cells=[32, 8], end_time=0.3),
+                             "07d5c308a401daf3879ed5232a8986ff053b7760778b9d5a22af6cd048432d1e",
+                             "bb740c58a6c9d2b50f33125becf0df0eea9ece2f74da3d1cd06aa2c420eea7b2"),
+    "vortex-16x16": (_with(VORTEX_2D, cells=[16, 16], end_time=0.1, output_interval=0.025),
+                     "06d17342205bd8c46c6af362260146558ae3ec12748bbadd046cc3e96f82b578",
+                     "cbb0bf02dc184c5f029529d449617fb8c7bec587dba6f15eb3b435d461aba1e1"),
+}
+
+
+@pytest.mark.parametrize("doc, series, snapshot", PINNED_OUTPUTS.values(),
+                         ids=PINNED_OUTPUTS.keys())
+def test_simulate_outputs_pinned_by_hash(tmp_path, capsys, doc, series, snapshot):
+    assert main(["simulate", "--config", _write(tmp_path, "c.json", doc),
+                 "--out", str(tmp_path)]) == 0
+    digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+              for name in ("timeseries.csv", "snapshot.csv")}
+    assert digest == {"timeseries.csv": series, "snapshot.csv": snapshot}

@@ -10,6 +10,7 @@ from smhd.core import (
     FrontGeometry,
     PhysParams,
     State,
+    axis_fluxes,
     boundary_matrix,
     conserved_from_primitive,
     fluxes,
@@ -68,6 +69,18 @@ def test_flux_hand_substitution():
     # v1^2 - B1^2 cancels, leaving only the g h^2 / 2 term
     f1, _ = fluxes(State(h=1.0, v=[1, 0], B=[1, 0]), PhysParams(1.0))
     assert np.allclose(f1, [1, 0.5, 0, 0, 0], atol=1e-15)
+
+
+def test_axis_fluxes_bit_equal_on_scalars_and_arrays(rng):
+    # the pointwise fluxes and the simulator's array fluxes are one formula
+    states = [random_state(rng) for _ in range(40)]
+    q = np.stack([conserved_from_primitive(u) for u in states], axis=1)
+    v = np.stack([u.v for u in states], axis=1)
+    b = np.stack([u.B for u in states], axis=1)
+    arrays = axis_fluxes(q, v, b, 1.7)
+    assert np.array_equal(axis_fluxes(q, v, b, 1.7, ndim=1), arrays[:1])
+    for k, u in enumerate(states):
+        assert np.array_equal(np.stack(fluxes(u, PhysParams(1.7))), arrays[:, :, k])
 
 
 def test_flux_induction_rows_structure(rng):

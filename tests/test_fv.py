@@ -4,13 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from smhd.core import PhysParams, State, conserved_from_primitive, fluxes
+from smhd.core import PhysParams, State, axis_fluxes, conserved_from_primitive, fast_speed, fluxes
 from smhd.errors import CflViolation, ConfigError, NonFiniteState, PositivityLoss
 from smhd.fv import (
     SimConfig,
-    _AxisSweep,
     _FaceBuffers,
-    _cell_terms,
+    _PaddedState,
     _check_positive,
     _hll_faces,
     divergence_residual,
@@ -70,6 +69,13 @@ def test_hll_reflected_pair_symmetry():
     assert abs(f[1] - (-back[1])) < 1e-13  # normal momentum flux reflects
 
 
+def _cell_terms(q, g, axis):
+    """Flux along ``axis`` and extreme wave speeds (lo, hi) of every cell."""
+    v, b = q[1:3] / q[0], q[3:] / q[0]
+    cg = fast_speed(b[axis], q[0], g)
+    return axis_fluxes(q, v, b, g)[axis], v[axis] - cg, v[axis] + cg
+
+
 def _two_sided_faces(ql, qr, g, axis):
     """Reference HLL faces: flux and speeds evaluated from each face's two states."""
     fl, lo_l, hi_l = _cell_terms(ql, g, axis)
@@ -106,17 +112,22 @@ def _faces_of(q, axis):
     ("mixed", (-5.0, 5.0)),
 ])
 def test_hll_faces_bit_identical_to_two_sided_formula(rng, axis, regime, vn_range):
+    # the faces of a flat (5, n1 n2) grid at flat offset n2 (x1) or 1 (x2)
     g = 1.3
-    shape = (33, 17) if axis == 0 else (17, 33)
+    n1, n2 = shape = (33, 17) if axis == 0 else (17, 33)
     q = _random_cells(rng, shape, axis, vn_range)
-    face_shape = list(shape)
-    face_shape[axis] -= 1
-    f, lo, hi = _cell_terms(q, g, axis)
-    got = _hll_faces(q, f, lo, hi, axis, _FaceBuffers(tuple(face_shape)))
+    flat = q.reshape(5, -1)
+    offset = (n2, 1)[axis]
+    f, lo, hi = _cell_terms(flat, g, axis)
+    got = _hll_faces(flat, f, lo, hi, offset, _FaceBuffers(flat.shape[1] - offset))
+    if axis == 0:
+        got = got.reshape(5, n1 - 1, n2)
+    else:  # the faces from the last cell of a row to the first of the next are not read
+        got = np.append(got, np.zeros((5, 1)), axis=1).reshape(5, n1, n2)[:, :, :-1]
     ql, qr = _faces_of(q, axis)
     assert np.array_equal(got, _two_sided_faces(ql, qr, g, axis))
-    s_left = np.minimum(*_faces_of(lo[None], axis))
-    s_right = np.maximum(*_faces_of(hi[None], axis))
+    s_left = np.minimum(*_faces_of(lo.reshape(1, *shape), axis))
+    s_right = np.maximum(*_faces_of(hi.reshape(1, *shape), axis))
     branches = {"supersonic-right-going": s_left >= 0.0,
                 "supersonic-left-going": s_right <= 0.0,
                 "subsonic": (s_left < 0.0) & (s_right > 0.0)}
@@ -126,24 +137,47 @@ def test_hll_faces_bit_identical_to_two_sided_formula(rng, axis, regime, vn_rang
         assert all(np.any(taken) for taken in branches.values())
 
 
-@pytest.mark.parametrize("sides", [("periodic", "periodic"), ("outflow", "outflow"),
-                                   ("inflow", "outflow")])
-def test_axis_sweep_ghosts_and_interior_speed(rng, sides):
+def _pad(q, axis, ends, pinned):
+    """``q`` with one ghost cell at each end of ``axis``: the edge cell (outflow), the
+    opposite edge cell (periodic) or the pinned state (inflow)."""
+    first, last = (np.take(q, [k], axis=1 + axis) for k in (0, -1))
+    ghosts = {"outflow": (first, last), "periodic": (last, first),
+              "inflow": (np.broadcast_to(pinned.reshape((5,) + (1,) * (q.ndim - 1)),
+                                         first.shape),) * 2}
+    return np.concatenate([ghosts[ends[0]][0], q, ghosts[ends[1]][1]], axis=1 + axis)
+
+
+@pytest.mark.parametrize("sides", [
+    (("periodic", "periodic"),),
+    (("outflow", "outflow"),),
+    (("inflow", "outflow"),),
+    (("periodic", "periodic"), ("periodic", "periodic")),
+    (("outflow", "outflow"), ("periodic", "periodic")),
+    (("inflow", "outflow"), ("periodic", "periodic")),
+    (("inflow", "outflow"), ("outflow", "outflow")),
+], ids=["1d-periodic", "1d-outflow", "1d-inflow", "2d-periodic", "2d-outflow-periodic",
+        "2d-inflow-periodic", "2d-inflow-outflow"])
+def test_padded_state_ghosts_faces_and_interior_speed(rng, sides):
     g = 1.0
-    q = _random_cells(rng, (24, 6), 0, (-2.0, 2.0))
-    pinned = np.array([1.0, 9.0, 0.0, 0.5, 0.0])
-    sweep = _AxisSweep(q.shape[1:], 0, [pinned if s == "inflow" else s for s in sides], g)
-    faces, smax = sweep.faces(q)
-    if sides[0] == "periodic":
-        lo_ghost, hi_ghost = q[:, -1:], q[:, :1]
-    else:
-        lo_ghost, hi_ghost = q[:, :1], q[:, -1:]
-    if sides[0] == "inflow":
-        lo_ghost = np.repeat(pinned[:, None, None], q.shape[2], axis=2)
-    padded = np.concatenate([lo_ghost, q, hi_ghost], axis=1)
-    assert np.array_equal(faces, _two_sided_faces(padded[:, :-1], padded[:, 1:], g, 0))
-    _, lo, hi = _cell_terms(q, g, 0)
-    assert smax == max(np.max(np.abs(lo)), np.max(np.abs(hi)))
+    shape = (24, 6)[:len(sides)]
+    q = _random_cells(rng, shape, 0, (-2.0, 2.0))
+    pinned = np.array([1.0, 9.0, 0.0, 0.5, 0.0])  # faster than every cell of q
+    state = _PaddedState(shape, [[pinned if s == "inflow" else s for s in ends]
+                                 for ends in sides], g)
+    speeds = state.load(q)
+    for axis, ends in enumerate(sides):
+        padded = _pad(q, axis, ends, pinned)
+        ghosts = (slice(None), *(slice(None) if k == axis else slice(1, -1)
+                                 for k in range(len(shape))))
+        assert np.array_equal(state.padded[ghosts], padded)
+        # face i along the axis lies between padded cells i and i + 1
+        faces = state.faces(axis).reshape(state.padded.shape)
+        read = (slice(None), *(slice(None, -1) if k == axis else slice(1, -1)
+                               for k in range(len(shape))))
+        assert np.array_equal(faces[read], _two_sided_faces(*_faces_of(padded, axis), g, axis))
+        _, lo, hi = _cell_terms(q, g, axis)
+        assert speeds[axis] == max(np.max(np.abs(lo)), np.max(np.abs(hi)))
+    assert np.all(np.isfinite(state.flat))
 
 
 def test_inflow_ghost_does_not_set_time_step():

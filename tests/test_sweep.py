@@ -229,6 +229,14 @@ def test_nsc_kernel_first_curve_wins(monkeypatch):
     assert cvs_nsc_kernel(1.0, 1.0, 1.0)[:2] == (3, 1)
 
 
+@pytest.mark.parametrize("a", [2.0 + 5e-10, np.array([2.0 + 5e-10])], ids=["scalar", "array"])
+def test_nsc_zero_band_changes_verdict(monkeypatch, a):
+    # 5e-10 above the curve a = 2b (b = 1, G = 1): inside the default band, off the curve
+    assert [int(np.ravel(x)[0]) for x in cvs_nsc_kernel(a, 1.0, 1.0)[:2]] == [3, 5]
+    monkeypatch.setattr("smhd.symmetrization.DEFAULT_TOL", 0.0)
+    assert [int(np.ravel(x)[0]) for x in cvs_nsc_kernel(a, 1.0, 1.0)[:2]] == [0, 0]
+
+
 def test_sufficient_kernel_matches_closed_form():
     jump = np.linspace(0.0, 4.0, 41)[:, None, None]
     b2p = np.linspace(-2.0, 2.0, 21)[None, :, None]
