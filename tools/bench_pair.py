@@ -14,6 +14,8 @@ output holds every run's end-to-end metrics, the line counts of
 ``src/smhd/*.py`` on each side, and per workload and metric the median and
 inclusive-method quartiles of each side, the median ratio change / parent
 and the number of pairs the change won (ties count for neither side).
+``--trace WORKLOAD=SEED`` adds one ``--trace 1`` run per side, whose
+per-layer metrics go under ``trace_<workload>_seed<seed>``.
 """
 
 from __future__ import annotations
@@ -50,10 +52,10 @@ def line_counts(copy: Path) -> dict[str, int]:
 
 
 def run_once(copy: Path, command: list[str], workload: str, seed: int,
-             seconds: float) -> tuple[dict, dict]:
+             seconds: float, trace: int = 0) -> tuple[dict, dict]:
     """(detail, result) lines that one benchmark run prints."""
     proc = subprocess.run([*command, "--workload", workload, "--seed", str(seed),
-                           "--seconds", str(seconds), "--trace", "0"],
+                           "--seconds", str(seconds), "--trace", str(trace)],
                           cwd=copy, capture_output=True, text=True, timeout=600)
     if proc.returncode != 0:
         raise RuntimeError(f"{workload} seed {seed} in {copy}: exit {proc.returncode}\n"
@@ -95,9 +97,11 @@ def main(argv=None) -> int:
     ap.add_argument("--change", required=True, help="git revision of the change side")
     ap.add_argument("--pairs", nargs="+", required=True, metavar="WORKLOAD=N")
     ap.add_argument("--out", required=True, help="BENCH_<n>.json to write")
+    ap.add_argument("--trace", nargs="*", default=[], metavar="WORKLOAD=SEED")
     ap.add_argument("--about", default="", help="one paragraph on what was compared")
     args = ap.parse_args(argv)
     pairs = {w: int(n) for w, n in (item.split("=") for item in args.pairs)}
+    traces = [(w, int(seed)) for w, seed in (item.split("=") for item in args.trace)]
 
     with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
         copies = {side: export(rev, Path(tmp) / side)
@@ -117,6 +121,11 @@ def main(argv=None) -> int:
                                  "seed": seed, "side": side, "workload": workload})
                     print(f"{workload} seed {seed} {side}: {runs[-1]['metrics']}",
                           file=sys.stderr, flush=True)
+        traced = {f"trace_{w.replace('-', '_')}_seed{seed}":
+                  {side: {k: v["value"] for k, v in run_once(
+                      copies[side], bench["command"], w, seed, bench["run_seconds"],
+                      trace=1)[1]["metrics"].items()} for side in SIDES}
+                  for w, seed in traces}
         doc = {
             "about": args.about,
             "command": " ".join(bench["command"]) + " --workload {" + ",".join(pairs) +
@@ -129,6 +138,7 @@ def main(argv=None) -> int:
             "runs": runs,
             "src_wc_l": {side: line_counts(copies[side]) for side in SIDES},
             "summary": summarize(runs, better),
+            **traced,
         }
     Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
                               encoding="utf-8")
