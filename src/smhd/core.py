@@ -158,24 +158,25 @@ def axis_fluxes(q, v, b, g, ndim: int = 2, out=None):
         F2 = (h v2, s, h v2^2 - h B2^2 + g h^2/2, w, 0)
 
     Each shared term is evaluated once for both axes.  The zero entries are the
-    curl structure of the induction rows.  The result (or ``out``) has shape
-    (ndim, 5, ...).
+    curl structure of the induction rows; the x2 flux never reads B1.  The
+    result (or ``out``) has shape (ndim, 5, ...).
     """
     h = q[0]
     v1, v2 = v
     pres = 0.5 * g * h * h
     w = q[3] * v2 - q[4] * v1
-    shared = q[1] * v2 - q[3] * b[1]
     f = np.empty((ndim, *np.shape(q))) if out is None else out
+    # a row's last operation writes into it, which saves a copy per row
+    # (``f[axis, k, ...]`` is a view, 0-d for a scalar q)
     f[0, 0] = q[1]
-    f[0, 1] = q[1] * v1 - q[3] * b[0] + pres
-    f[0, 2] = shared
+    np.add(q[1] * v1 - q[3] * b[0], pres, out=f[0, 1, ...])
+    np.subtract(q[1] * v2, q[3] * b[1], out=f[0, 2, ...])  # the shared term
     f[0, 3] = 0.0
-    f[0, 4] = -w
+    np.negative(w, out=f[0, 4, ...])
     if ndim == 2:
         f[1, 0] = q[2]
-        f[1, 1] = shared
-        f[1, 2] = q[2] * v2 - q[4] * b[1] + pres
+        f[1, 1] = f[0, 2]
+        np.add(q[2] * v2 - q[4] * b[1], pres, out=f[1, 2, ...])
         f[1, 3] = w
         f[1, 4] = 0.0
     return f
