@@ -160,7 +160,10 @@ def _pad(q, axis, ends, pinned):
 def test_padded_state_ghosts_faces_and_interior_speed(rng, sides):
     g = 1.0
     shape = (24, 6)[:len(sides)]
-    q = _random_cells(rng, shape, 0, (-2.0, 2.0))
+    # left-going along x1 and right-going along x2: each interior speed comes from lo on
+    # one axis and from hi on the other
+    q = _random_cells(rng, shape, 0, (-4.0, -2.0))
+    q[2] = q[0] * rng.uniform(2.0, 4.0, size=shape)
     pinned = np.array([1.0, 9.0, 0.0, 0.5, 0.0])  # faster than every cell of q
     state = _PaddedState(shape, [[pinned if s == "inflow" else s for s in ends]
                                  for ends in sides], g)
