@@ -159,26 +159,26 @@ def axis_fluxes(q, v, b, g, ndim: int = 2, out=None):
 
     Each shared term is evaluated once for both axes.  The zero entries are the
     curl structure of the induction rows; the x2 flux never reads B1.  The
-    result (or ``out``) has shape (ndim, 5, ...).
+    result (or ``out``) has shape (ndim, 5, ...).  The zero rows F1[3] and F2[4]
+    are never written: a new result is allocated with zeros, and an ``out``
+    must already hold 0 there (a buffer that is reused across calls keeps them).
     """
     h = q[0]
     v1, v2 = v
     pres = 0.5 * g * h * h
-    w = q[3] * v2 - q[4] * v1
-    f = np.empty((ndim, *np.shape(q))) if out is None else out
+    f = np.zeros((ndim, *np.shape(q))) if out is None else out
     # a row's last operation writes into it, which saves a copy per row
     # (``f[axis, k, ...]`` is a view, 0-d for a scalar q)
     f[0, 0] = q[1]
     np.add(q[1] * v1 - q[3] * b[0], pres, out=f[0, 1, ...])
     np.subtract(q[1] * v2, q[3] * b[1], out=f[0, 2, ...])  # the shared term
-    f[0, 3] = 0.0
+    # w goes straight into F2[3] (into F1[4] in 1D) and is negated into F1[4]
+    w = np.subtract(q[3] * v2, q[4] * v1, out=f[1, 3, ...] if ndim == 2 else f[0, 4, ...])
     np.negative(w, out=f[0, 4, ...])
     if ndim == 2:
         f[1, 0] = q[2]
         f[1, 1] = f[0, 2]
         np.add(q[2] * v2 - q[4] * b[1], pres, out=f[1, 2, ...])
-        f[1, 3] = w
-        f[1, 4] = 0.0
     return f
 
 

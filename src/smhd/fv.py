@@ -15,14 +15,18 @@ Each run holds one ghost-padded state (``_PaddedState``), shaped
 (5, n1 + 2, n2 + 2) or (5, n + 2) and read flat as (5, L).  A step copies
 q into it once, refreshes the ghost cells, and evaluates every cell's
 fluxes along both axes (``core.axis_fluxes``) and extreme wave speeds
-(``core.fast_speed``) once, from one division by h.  Cells that
-neighbour along an axis lie a fixed flat offset apart (n2 + 2 along x1,
-1 along x2 and in 1D), so ``_hll_faces`` forms the faces of either axis
-from two contiguous slices of those flat arrays.  Faces that straddle a
+(``core.fast_speed``) once, from one division by h; the flux rows that
+are identically zero are written once per run.  Cells that neighbour
+along an axis lie a fixed flat offset apart (n2 + 2 along x1, 1 along x2
+and in 1D), so ``_hll_faces`` forms the faces of either axis from two
+contiguous slices of those flat arrays, in a weight form whose clamped
+speeds cover the upwind faces without a branch.  Faces that straddle a
 ghost column or a row end are computed and never read.  The CFL step
 takes its maximum speed from the interior cells of the speed arrays, so
 a pinned inflow ghost never sets dt.  A non-finite wave speed or
-conservation defect, or zero CFL speeds, aborts with NonFiniteState.
+conservation defect, or zero CFL speeds, aborts with NonFiniteState; the
+loop runs with numpy's overflow and invalid-value warnings off, so a flux
+that overflows ends the run through that check alone.
 
 The update runs in place: each axis's flux difference is taken over the
 flat face array into one buffer allocated per run, scaled by dt / dx and
@@ -66,10 +70,11 @@ BAND_FRAC = 0.2
 def hll_flux(left: State, right: State, unit_normal, params: PhysParams) -> Array:
     """HLL numerical flux through a face with the given unit normal.
 
-    Consistent (equal states return the exact projected flux) and
-    conservative; wave bounds are the extreme characteristic speeds of
-    the two states (Davis estimate).  The face is formed by the same
-    ``_hll_faces`` combination that the simulators run.
+    Consistent and conservative; wave bounds are the extreme characteristic
+    speeds of the two states (Davis estimate).  The face is formed by the
+    weight form of ``_hll_faces`` that the simulators run, so equal states and
+    faces whose two speeds are both >= 0 return the left state's projected
+    flux exactly.
     """
     n = np.asarray(unit_normal, dtype=float).reshape(2)
     q = np.stack([conserved_from_primitive(left), conserved_from_primitive(right)], axis=1)
@@ -92,7 +97,6 @@ class _FaceBuffers:
         self.s_left = np.empty(size)
         self.s_right = np.empty(size)
         self.denom = np.empty(size)
-        self.prod = np.empty(size)
         self.mask = np.empty(size, dtype=bool)
 
 
@@ -103,30 +107,38 @@ def _hll_faces(q: Array, f: Array, lo: Array, hi: Array, offset: int,
     ``q`` and ``f`` are per-cell conserved fields and physical fluxes, shaped
     (5, offset + n), and ``lo``/``hi`` the per-cell extreme speeds; each was
     evaluated once per cell.  The two sides of the n faces are the slices
-    ``[:n]`` and ``[offset:]``, and ``buf`` holds n faces.  The result is
-    written into ``buf.flux`` with the operation order of the two-sided
-    formula, so it is bit-identical to evaluating each face from its two
-    states.  A masked copy whose mask is empty is skipped.
+    ``[:n]`` and ``[offset:]``, and ``buf`` holds n faces.  With the face
+    speeds clamped, sL = min(lo_l, lo_r, 0) and sR = max(hi_l, hi_r, 0), and
+    den = sR - sL (1 where it is 0), the face flux is written into
+    ``buf.flux`` in weight form:
+
+        F = fl + b (fr - fl) - c (qr - ql),   b = -sL / den,  c = -sL sR / den.
+
+    The clamp stands in for the upwind branches: F is exactly fl for equal
+    states and where sL >= 0 (b = c = 0), and fl + (fr - fl), within an ulp
+    of fr, where sR <= 0 (b = 1, c = 0).
     """
     n = q.shape[1] - offset
     ql, qr = q[:, :n], q[:, offset:]
     fl, fr = f[:, :n], f[:, offset:]
     s_left = np.minimum(lo[:n], lo[offset:], out=buf.s_left)
+    np.minimum(s_left, 0.0, out=s_left)
     s_right = np.maximum(hi[:n], hi[offset:], out=buf.s_right)
-    denom = np.subtract(s_right, s_left, out=buf.denom)
-    if np.count_nonzero(np.equal(denom, 0.0, out=buf.mask)):
-        np.copyto(denom, 1.0, where=buf.mask)
-    out = np.multiply(s_right, fl, out=buf.flux)
-    tmp = np.multiply(s_left, fr, out=buf.tmp)
+    np.maximum(s_right, 0.0, out=s_right)
+    # -den, so that b = sL / -den and c = sL sR / -den need no negation; where it
+    # is 0, sL = sR = 0 and the guard 1 gives b = c = 0
+    neg_denom = np.subtract(s_left, s_right, out=buf.denom)
+    if np.count_nonzero(np.equal(neg_denom, 0.0, out=buf.mask)):
+        np.copyto(neg_denom, 1.0, where=buf.mask)
+    c = np.multiply(s_left, s_right, out=s_right)
+    c /= neg_denom
+    b = np.divide(s_left, neg_denom, out=s_left)
+    out = np.subtract(fr, fl, out=buf.flux)
+    out *= b
+    out += fl
+    tmp = np.subtract(qr, ql, out=buf.tmp)
+    tmp *= c
     out -= tmp
-    np.subtract(qr, ql, out=tmp)
-    tmp *= np.multiply(s_left, s_right, out=buf.prod)
-    out += tmp
-    out /= denom
-    if np.count_nonzero(np.less_equal(s_right, 0.0, out=buf.mask)):
-        np.copyto(out, fr, where=buf.mask)
-    if np.count_nonzero(np.greater_equal(s_left, 0.0, out=buf.mask)):
-        np.copyto(out, fl, where=buf.mask)
     return out
 
 
@@ -169,7 +181,7 @@ class _PaddedState:
         self.inner = (slice(None),) + (slice(1, -1),) * ndim
         self.interior = self.padded[self.inner]
         self.prim = np.empty((4, length))
-        self.f = np.empty((ndim, 5, length))
+        self.f = np.zeros((ndim, 5, length))  # axis_fluxes never writes its zero rows
         self.lo, self.hi = np.empty((2, ndim, length))  # extreme speeds along each axis
         self.interior_speeds = self.cells(self.lo), self.cells(self.hi)
         self.buf = _FaceBuffers(self.size)
@@ -491,53 +503,56 @@ def _simulate(cfg: SimConfig, source: Callable[..., Array] | None = None,
         return (t, volume(sums), float(q[0].min()), div, fp, amp,
                 _energy(q, g, math.prod(widths)))
 
-    rec.offer(t, False, row)
-    while t < cfg.end_time - 1e-14:
-        speeds = state.load(q)
-        _check_finite(sum(speeds), t, "wave speed")
-        rate = sum(s / d for s, d in zip(speeds, widths))  # Courant number per unit time
-        if cfg.dt_fixed:
-            dt = cfg.dt_fixed
-        elif (speeds[0] if ndim == 1 else rate) == 0.0:
-            raise NonFiniteState(t, f"all wave speeds are 0 at t={t:.6g}: infinite CFL step")
-        elif ndim == 1:  # keeps the rounding of cfl * dx / smax
-            dt = cfg.cfl * widths[0] / speeds[0]
-        else:
-            dt = cfg.cfl / rate
-        if dt * rate > 1.0 + 1e-12:
-            raise CflViolation(f"Courant number {dt * rate:.3f} exceeds 1 at t={t:.4g}")
-        dt = min(dt, cfg.end_time - t)
-        before = sums
-        boundary = 0.0
-        for axis, s in enumerate(state.offsets):
-            # cell k has faces k - s and k; one difference over the whole flat buffer,
-            # whose entries that straddle two components are never read
-            f = state.faces(axis)
-            diff = np.subtract(f.reshape(-1)[s:], f.reshape(-1)[:-s], out=upd.reshape(-1)[s:])
-            diff *= dt / widths[axis]
-            q -= upd_cells
-            f = f.reshape(state.padded.shape)
-            first = f[_index(ndim, axis, 0)].sum(axis=cell_axes[:-1])
-            last = f[_index(ndim, axis, -2)].sum(axis=cell_axes[:-1])
-            boundary = boundary + dt * areas[axis] * (last - first)
-        if source is not None:
-            s_arr = source(t, *mesh)
-            q += np.multiply(dt, s_arr, out=upd_cells)
-        sums = q.sum(axis=cell_axes)
-        defect = volume(sums - before) + boundary
-        if source is not None:
-            defect = defect - volume(dt * s_arr.sum(axis=cell_axes))
-        step_defect = float(np.max(np.abs(defect)) /
-                            max(1.0, float(volume(np.max(np.abs(before))))))
-        _check_finite(step_defect, t + dt, "conservation defect")
-        max_defect = max(max_defect, step_defect)
-        if steps == MAX_STEPS or (steps == 0 and cfg.end_time > MAX_STEPS * dt):
-            raise ConfigError(f"the run needs more than MAX_STEPS = {MAX_STEPS} time steps "
-                              f"(t = {t:.6g} of end_time {cfg.end_time:g}, dt = {dt:.3g})")
-        _check_positive(q, t + dt)
-        t += dt
-        steps += 1
-        rec.offer(t, t >= cfg.end_time - 1e-14, row)
+    # a flux that overflows shows as a non-finite wave speed or conservation defect,
+    # which ends the run with one NonFiniteState, so numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec.offer(t, False, row)
+        while t < cfg.end_time - 1e-14:
+            speeds = state.load(q)
+            _check_finite(sum(speeds), t, "wave speed")
+            rate = sum(s / d for s, d in zip(speeds, widths))  # Courant number per unit time
+            if cfg.dt_fixed:
+                dt = cfg.dt_fixed
+            elif (speeds[0] if ndim == 1 else rate) == 0.0:
+                raise NonFiniteState(t, f"all wave speeds are 0 at t={t:.6g}: infinite CFL step")
+            elif ndim == 1:  # keeps the rounding of cfl * dx / smax
+                dt = cfg.cfl * widths[0] / speeds[0]
+            else:
+                dt = cfg.cfl / rate
+            if dt * rate > 1.0 + 1e-12:
+                raise CflViolation(f"Courant number {dt * rate:.3f} exceeds 1 at t={t:.4g}")
+            dt = min(dt, cfg.end_time - t)
+            before = sums
+            boundary = 0.0
+            for axis, s in enumerate(state.offsets):
+                # cell k has faces k - s and k; one difference over the whole flat buffer,
+                # whose entries that straddle two components are never read
+                f = state.faces(axis)
+                diff = np.subtract(f.reshape(-1)[s:], f.reshape(-1)[:-s], out=upd.reshape(-1)[s:])
+                diff *= dt / widths[axis]
+                q -= upd_cells
+                f = f.reshape(state.padded.shape)
+                first = f[_index(ndim, axis, 0)].sum(axis=cell_axes[:-1])
+                last = f[_index(ndim, axis, -2)].sum(axis=cell_axes[:-1])
+                boundary = boundary + dt * areas[axis] * (last - first)
+            if source is not None:
+                s_arr = source(t, *mesh)
+                q += np.multiply(dt, s_arr, out=upd_cells)
+            sums = q.sum(axis=cell_axes)
+            defect = volume(sums - before) + boundary
+            if source is not None:
+                defect = defect - volume(dt * s_arr.sum(axis=cell_axes))
+            step_defect = float(np.max(np.abs(defect)) /
+                                max(1.0, float(volume(np.max(np.abs(before))))))
+            _check_finite(step_defect, t + dt, "conservation defect")
+            max_defect = max(max_defect, step_defect)
+            if steps == MAX_STEPS or (steps == 0 and cfg.end_time > MAX_STEPS * dt):
+                raise ConfigError(f"the run needs more than MAX_STEPS = {MAX_STEPS} time steps "
+                                  f"(t = {t:.6g} of end_time {cfg.end_time:g}, dt = {dt:.3g})")
+            _check_positive(q, t + dt)
+            t += dt
+            steps += 1
+            rec.offer(t, t >= cfg.end_time - 1e-14, row)
 
     grid = dict(zip("xy", centers)) | dict(zip(("dx", "dy"), widths))
     # each recorded row holds the time-series fields of SimResult in field order

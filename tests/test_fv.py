@@ -58,6 +58,14 @@ def test_hll_supersonic_upwind():
     assert np.array_equal(f, fluxes(left, p)[0])
 
 
+def test_hll_zero_wave_speeds():
+    # at rest with B = 0 and g h underflowing to 0 both face speeds vanish; the guarded
+    # denominator keeps the face finite and equal to the exact flux
+    p = PhysParams(g=1e-200)
+    u = State(h=1e-200, v=[0.0, 0.0], B=[0.0, 0.0])
+    assert np.array_equal(hll_flux(u, u, [1.0, 0.0], p), fluxes(u, p)[0])
+
+
 def test_hll_reflected_pair_symmetry():
     p = PhysParams(g=1.0)
     u = State(h=1.5, v=[0.8, 0.3], B=[0.0, 0.4])
@@ -77,7 +85,21 @@ def _cell_terms(q, g, axis):
 
 
 def _two_sided_faces(ql, qr, g, axis):
-    """Reference HLL faces: flux and speeds evaluated from each face's two states."""
+    """Reference HLL faces in the kernel's weight form: flux and speeds evaluated from
+    each face's two states."""
+    fl, lo_l, hi_l = _cell_terms(ql, g, axis)
+    fr, lo_r, hi_r = _cell_terms(qr, g, axis)
+    s_left = np.minimum(np.minimum(lo_l, lo_r), 0.0)
+    s_right = np.maximum(np.maximum(hi_l, hi_r), 0.0)
+    denom = s_right - s_left
+    denom = np.where(denom == 0.0, 1.0, denom)
+    b = -s_left / denom
+    c = -s_left * s_right / denom
+    return fl + b * (fr - fl) - c * (qr - ql)
+
+
+def _masked_faces(ql, qr, g, axis):
+    """Second reference: the textbook HLL formula with its two upwind branches."""
     fl, lo_l, hi_l = _cell_terms(ql, g, axis)
     fr, lo_r, hi_r = _cell_terms(qr, g, axis)
     s_left = np.minimum(lo_l, lo_r)
@@ -104,6 +126,29 @@ def _faces_of(q, axis):
     return left, right
 
 
+FACE_G = 1.3  # gravity of the face tests
+
+
+def _grid_faces(rng, axis, vn_range, vary=(0, 1)):
+    """(q, lo, hi, faces) of a flat (5, n1 n2) grid along ``axis`` (flat offset n2
+    along x1, 1 along x2); q varies along the axes in ``vary`` only.  The faces
+    from the last cell of a row to the first of the next are not read and are
+    dropped, so the faces have the shape of ``_faces_of``."""
+    n1, n2 = shape = (33, 17) if axis == 0 else (17, 33)
+    q = _random_cells(rng, shape, axis, vn_range)
+    for k in {0, 1} - set(vary):
+        q = np.repeat(np.take(q, [0], axis=1 + k), shape[k], axis=1 + k)
+    flat = q.reshape(5, -1)
+    offset = (n2, 1)[axis]
+    f, lo, hi = _cell_terms(flat, FACE_G, axis)
+    got = _hll_faces(flat, f, lo, hi, offset, _FaceBuffers(flat.shape[1] - offset))
+    if axis == 0:
+        got = got.reshape(5, n1 - 1, n2)
+    else:
+        got = np.append(got, np.zeros((5, 1)), axis=1).reshape(5, n1, n2)[:, :, :-1]
+    return q, lo.reshape(1, *shape), hi.reshape(1, *shape), got
+
+
 @pytest.mark.parametrize("axis", [0, 1])
 @pytest.mark.parametrize("regime, vn_range", [
     ("supersonic-left-going", (-30.0, -20.0)),
@@ -112,29 +157,36 @@ def _faces_of(q, axis):
     ("mixed", (-5.0, 5.0)),
 ])
 def test_hll_faces_bit_identical_to_two_sided_formula(rng, axis, regime, vn_range):
-    # the faces of a flat (5, n1 n2) grid at flat offset n2 (x1) or 1 (x2)
-    g = 1.3
-    n1, n2 = shape = (33, 17) if axis == 0 else (17, 33)
-    q = _random_cells(rng, shape, axis, vn_range)
-    flat = q.reshape(5, -1)
-    offset = (n2, 1)[axis]
-    f, lo, hi = _cell_terms(flat, g, axis)
-    got = _hll_faces(flat, f, lo, hi, offset, _FaceBuffers(flat.shape[1] - offset))
-    if axis == 0:
-        got = got.reshape(5, n1 - 1, n2)
-    else:  # the faces from the last cell of a row to the first of the next are not read
-        got = np.append(got, np.zeros((5, 1)), axis=1).reshape(5, n1, n2)[:, :, :-1]
+    q, lo, hi, got = _grid_faces(rng, axis, vn_range)
     ql, qr = _faces_of(q, axis)
-    assert np.array_equal(got, _two_sided_faces(ql, qr, g, axis))
-    s_left = np.minimum(*_faces_of(lo.reshape(1, *shape), axis))
-    s_right = np.maximum(*_faces_of(hi.reshape(1, *shape), axis))
-    branches = {"supersonic-right-going": s_left >= 0.0,
+    assert np.array_equal(got, _two_sided_faces(ql, qr, FACE_G, axis))
+    # the weight form agrees with the branched formula to a few ulp of each row's
+    # largest face flux, and exactly where both face speeds are >= 0
+    masked = _masked_faces(ql, qr, FACE_G, axis)
+    faces = tuple(range(1, q.ndim))
+    ulp = np.spacing(np.max(np.abs(masked), axis=faces, keepdims=True))
+    assert np.all(np.abs(got - masked) <= 4.0 * ulp)
+    s_left = np.minimum(*_faces_of(lo, axis))[0]
+    s_right = np.maximum(*_faces_of(hi, axis))[0]
+    upwind = s_left >= 0.0
+    assert np.array_equal(got[:, upwind], masked[:, upwind])
+    branches = {"supersonic-right-going": upwind,
                 "supersonic-left-going": s_right <= 0.0,
                 "subsonic": (s_left < 0.0) & (s_right > 0.0)}
     if regime in branches:
         assert np.all(branches[regime])
     else:
         assert all(np.any(taken) for taken in branches.values())
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_hll_faces_exact_for_equal_states(rng, axis):
+    # q varies only across the axis, so every face has two equal states, in every regime
+    q, _, _, got = _grid_faces(rng, axis, (-5.0, 5.0), vary=(1 - axis,))
+    ql, _ = _faces_of(q, axis)
+    f, lo, hi = _cell_terms(ql, FACE_G, axis)
+    assert np.any(lo >= 0.0) and np.any(hi <= 0.0) and np.any((lo < 0.0) & (hi > 0.0))
+    assert np.array_equal(got, f)
 
 
 def _pad(q, axis, ends, pinned):
@@ -447,7 +499,7 @@ def test_non_finite_state_raises_1d():
     cfg = SimConfig(dimensions=1, cells=(32,), extents=((0.0, 1.0),), end_time=1.0,
                     initial={"type": "uniform",
                              "state": {"h": 1.0, "v": [1e155, 0.0], "B": [0.0, 0.0]}})
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState):
+    with pytest.raises(NonFiniteState):
         simulate_1d(cfg)
 
 
