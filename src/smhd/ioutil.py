@@ -3,12 +3,17 @@
 ``write_rows_csv`` is the one table writer of every CSV file the CLI
 writes: '.' decimals, 17 significant digits for floats, ``%d`` for
 integer columns and LF line endings, so identical inputs reproduce
-byte-identical files.  It formats ``.tolist()`` blocks of rows and
-writes the whole text with one call, so a row that fails to format
-leaves no partial file.  Page faults and speed do not decide it: a 256x64
-2D run after a one-call or a block-streamed snapshot write takes ~2k
-minor page faults either way (the fv step keeps no per-step full-state
-temporaries), and both writes of that 16384-row file take ~48 ms.
+byte-identical files.  It works on blocks of ``CSV_BLOCK_ROWS`` rows.  In
+each block it formats each distinct value of a column once (floats keyed
+on their bit pattern, so 0 and -0 keep their own strings), gathers the
+strings back through the inverse index and joins the rows; no string list
+spans more than one block.  The whole text is written with one call, so a
+row that fails to format leaves no partial file.  Sweep maps repeat their
+axis values and codes: a 200x200 map (40000 rows) takes 32-50 ms against
+66-106 ms when every row is formatted (2 vCPUs, Python 3.11, numpy 2.4.6,
+medians of 15 writes on a noisy host).  A column of all-distinct values
+costs ~20% more than per-row formatting; the 256x64 perturbed-shock
+snapshot, whose x and y columns repeat, takes 45-66 ms against 52-79 ms.
 
 Each document value is read once, where it is used, by ``check_number``
 (a string or a bool is no number), ``check_float``, ``check_count`` or
@@ -34,7 +39,7 @@ from .core import FrontGeometry, PhysParams, State
 from .errors import CflViolation, ConfigError
 from .jumps import SidePair
 
-# Rows per .tolist() block of write_rows_csv.
+# Rows per block of write_rows_csv, whose distinct values each column formats once.
 CSV_BLOCK_ROWS = 1024
 # Most cells a run config may hold, over all its dimensions (1024 x 1024).
 MAX_CELLS = 2**20
@@ -228,9 +233,24 @@ def write_rows_csv(header: str, columns, path: str | Path) -> None:
     of ``fmt``, nan, inf and -0 included).
     """
     columns = [np.asarray(c) for c in columns]
-    row = ",".join("%d" if np.issubdtype(c.dtype, np.integer) else "%.17g" for c in columns)
     parts = [header]
     for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        block = zip(*(c[start:start + CSV_BLOCK_ROWS].tolist() for c in columns))
-        parts.append("\n".join(row % values for values in block))
+        cells = [_format_block(c[start:start + CSV_BLOCK_ROWS]) for c in columns]
+        parts.append("\n".join(map(",".join, zip(*cells))))
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8", newline="\n")
+
+
+def _format_block(values: np.ndarray) -> list[str]:
+    """The CSV strings of a 1D block, each distinct value formatted once.
+
+    Floats are keyed on their bit pattern, so 0 and -0 (and NaNs of
+    different signs) keep their own strings.
+    """
+    if np.issubdtype(values.dtype, np.integer):
+        distinct, inverse = np.unique(values, return_inverse=True)
+        strings = ["%d" % v for v in distinct.tolist()]
+    else:
+        bits = np.asarray(values, dtype=np.float64).view(np.uint64)
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        strings = ["%.17g" % v for v in distinct.view(np.float64).tolist()]
+    return np.array(strings, dtype=object)[inverse].tolist()

@@ -288,7 +288,7 @@ def linear_halfplane_simulate(setup: LinearizedShockSetup, cfg: LinearConfig,
     d = np.empty((4, 5, n1, n2))
     u_cols, d_cols, flux = u.reshape(5, -1), d.reshape(20, -1), np.empty((5, n1 * n2))
     # phi, its central difference d2 phi and the boundary state of the current u and phi
-    phi = dphi = np.zeros(n2)
+    phi, dphi = np.zeros(n2), np.zeros(n2)
     ub = b_u @ u[:, 0, :]
     t = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -297,7 +297,10 @@ def linear_halfplane_simulate(setup: LinearizedShockSetup, cfg: LinearConfig,
             _fill_differences(d, u, ub)
             u_cols -= np.matmul(k, d_cols, out=flux)
             phi = phi + dt * (phi_drift * dphi - phi_pb * ub[0])
-            dphi = (np.roll(phi, -1) - np.roll(phi, 1)) / (2.0 * dy)
+            # d2 phi = (phi[k + 1] - phi[k - 1]) / (2 dy), periodic in x2, in place
+            np.subtract(phi[2:], phi[:-2], out=dphi[1:-1])
+            dphi[0], dphi[-1] = phi[1] - phi[-1], phi[0] - phi[-2]
+            dphi /= 2.0 * dy
             ub = b_u @ u[:, 0, :] + np.outer(b_phi, dphi)
             t += dt
             if step >= n_steps - 3:

@@ -213,7 +213,12 @@ def _nsc_exception_curves(spec: SweepSpec) -> list[tuple[str, np.ndarray, np.nda
 
 
 def sweep_svg(spec: SweepSpec, codes: np.ndarray, path: str | Path) -> None:
-    """Self-contained heatmap; one documented metadata comment line."""
+    """Self-contained heatmap; one documented metadata comment line.
+
+    One path per verdict code draws that code's cells in row-major order.
+    The nx x-offset strings and the ny y-offset strings are formatted once
+    per map, and each cell is the concatenation of its two strings.
+    """
     nx, ny = codes.shape
     width = nx * CELL_PX + 2 * MARGIN_PX
     height = ny * CELL_PX + 2 * MARGIN_PX
@@ -233,13 +238,14 @@ def sweep_svg(spec: SweepSpec, codes: np.ndarray, path: str | Path) -> None:
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
     ]
-    for code in sorted(set(codes.ravel().tolist())):
-        color = _COLORS.get(int(code), "#000000")
+    # cell (i, j) is the x-offset string i followed by the y-offset string j
+    x_cells = np.array([f"M{MARGIN_PX + i * CELL_PX} " for i in range(nx)], dtype=object)
+    y_cells = np.array([f"{height - MARGIN_PX - (j + 1) * CELL_PX}"
+                        f"h{CELL_PX}v{CELL_PX}h-{CELL_PX}z" for j in range(ny)], dtype=object)
+    for code in np.unique(codes).tolist():
         ii, jj = np.nonzero(codes == code)
-        cells = "".join(f'M{MARGIN_PX + i * CELL_PX} {height - MARGIN_PX - (j + 1) * CELL_PX}'
-                        f'h{CELL_PX}v{CELL_PX}h-{CELL_PX}z'
-                        for i, j in zip(ii.tolist(), jj.tolist()))
-        parts.append(f'<path d="{cells}" fill="{color}"/>')
+        cells = "".join((x_cells[ii] + y_cells[jj]).tolist())
+        parts.append(f'<path d="{cells}" fill="{_COLORS.get(code, "#000000")}"/>')
     if spec.verdict == "cvs-nsc":
         for name, ax_vals, ay_vals in _nsc_exception_curves(spec):
             pts = []

@@ -746,3 +746,37 @@ def test_simulate_outputs_pinned_by_hash(tmp_path, capsys, doc, series, snapshot
     digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
               for name in ("timeseries.csv", "snapshot.csv")}
     assert digest == {"timeseries.csv": series, "snapshot.csv": snapshot}
+
+
+# sha256 of (sweep.csv, sweep.svg) for three tiny sweeps: the byte-determinism promise
+# of both writers.  The cvs-nsc map draws its six curves and has more rows than one
+# write_rows_csv block; the cvs-sufficient map has b2_plus on x and invalid points.
+PINNED_SWEEPS = {
+    "cvs-nsc-curves": ({"verdict": "cvs-nsc",
+                        "x_axis": {"name": "v2_jump", "min": 0.0, "max": 6.0, "count": 40},
+                        "y_axis": {"name": "b2_plus", "min": -2.0, "max": 2.0, "count": 30},
+                        "fixed": {"h": 1.0, "g": 1.0}},
+                       "6c9aab40da0bd1fc54c9a036ad652208fe4f88ef5b7c832162b35d5846f9aa23",
+                       "85f2cce1f3c5250dbe17a2a590fe44ec5cb9fd57e2fb15fa5a07c92b00611d57"),
+    "cvs-sufficient": ({"verdict": "cvs-sufficient",
+                        "x_axis": {"name": "b2_plus", "min": -2.0, "max": 2.0, "count": 9},
+                        "y_axis": {"name": "v2_jump", "min": 0.0, "max": 6.0, "count": 8},
+                        "fixed": {"h": 1.0, "epsilon": 1e-6}},
+                       "1ac164a8f9d5f4885a1bd3917d33dcd838c95300e33062d56ab56b4af780a2d2",
+                       "8cad764d44f2c4b5748757983585b7a4c47f443df8ff6cb59f513226f8e23029"),
+    "lax": ({"verdict": "lax",
+             "x_axis": {"name": "ratio", "min": 0.2, "max": 3.0, "count": 10},
+             "y_axis": {"name": "b1_plus", "min": 0.1, "max": 2.0, "count": 8},
+             "fixed": {"h_minus": 1.0, "b2": 0.1, "g": 1.0}},
+            "682587c317648fac4f9afde0d70184eb4222558091c850b86f8fd9dd2190ca03",
+            "ea6b6c2ffa26562a94349562f70082c2f8233f5953f8f382cdf4c6eceb4eb481"),
+}
+
+
+@pytest.mark.parametrize("spec, csv, svg", PINNED_SWEEPS.values(), ids=PINNED_SWEEPS.keys())
+def test_sweep_outputs_pinned_by_hash(tmp_path, capsys, spec, csv, svg):
+    assert main(["sweep", "--spec", _write(tmp_path, "s.json", spec),
+                 "--out", str(tmp_path)]) == 0
+    digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+              for name in ("sweep.csv", "sweep.svg")}
+    assert digest == {"sweep.csv": csv, "sweep.svg": svg}

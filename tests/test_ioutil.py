@@ -1,0 +1,39 @@
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from smhd.ioutil import CSV_BLOCK_ROWS, write_rows_csv
+
+# 0 and -0 compare equal but print apart; NaNs compare unequal to themselves
+SPECIAL_FLOATS = (0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+                  1.7976931348623157e308)
+SPECIAL_INTS = (0, -1, -(2**62), 2**62)
+# header only, one row, and one row either side of a block boundary
+LENGTHS = (0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS + 1)
+
+
+def _per_row(header, columns):
+    """The plain rendering: ``spec % v`` for each value of each row."""
+    specs = ["%d" if np.issubdtype(c.dtype, np.integer) else "%.17g" for c in columns]
+    rows = (",".join(spec % v for spec, v in zip(specs, row))
+            for row in zip(*(c.tolist() for c in columns)))
+    return "\n".join([header, *rows]) + "\n"
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.sampled_from(LENGTHS),
+       floats=st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(), min_size=1, max_size=6),
+       ints=st.lists(st.sampled_from(SPECIAL_INTS) | st.integers(-(2**63), 2**63 - 1),
+                     min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=CSV_BLOCK_ROWS + 1, floats=[0.0, -0.0], ints=[-3, 2**62], seed=0)
+def test_write_rows_csv_matches_per_row_reference(tmp_path_factory, n, floats, ints, seed):
+    # few distinct values over many rows, so that every block repeats its values
+    rng = np.random.default_rng(seed)
+    pick = lambda pool, dtype: np.array(pool, dtype=dtype)[rng.integers(0, len(pool), n)]
+    columns = [pick(floats, np.float64), pick(ints, np.int64), pick(floats, np.float64)]
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_rows_csv("a,b,c", columns, path)
+    assert path.read_bytes() == _per_row("a,b,c", columns).encode()
