@@ -125,15 +125,6 @@ class FrontGeometry:
         return 1.0 + self.slope * self.slope
 
 
-@dataclass(frozen=True)
-class MatrixSet:
-    """Symmetric quasilinear matrices (A0, A1, A2)."""
-
-    A0: np.ndarray
-    A1: np.ndarray
-    A2: np.ndarray
-
-
 def conserved_from_primitive(u: State) -> np.ndarray:
     """Conserved vector q = (h, h v1, h v2, h B1, h B2)."""
     return np.concatenate(([u.h], u.h * u.v, u.h * u.B))
@@ -213,18 +204,20 @@ def symmetric_matrices(u: State, k0: float, w: float, c: float,
     return tuple(mats)
 
 
-def quasilinear_matrices(u: State, params: PhysParams, form: str = PRIMITIVE_HEIGHT) -> MatrixSet:
-    """Symmetric matrices (A0, A1, A2) of the requested quasilinear form.
+def quasilinear_matrices(u: State, params: PhysParams,
+                         form: str = PRIMITIVE_HEIGHT) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lam = 0 member (A0, A1, A2) of ``symmetric_matrices`` in the requested form.
 
-    ``PRIMITIVE_HEIGHT`` uses unknowns (h, v, B); ``PRESSURE`` uses
-    (p, v, B) with p = (g/2) h^2.  Both forms share the characteristic
-    speeds; A0 is positive definite iff h > 0.
+    ``PRIMITIVE_HEIGHT`` has unknowns (h, v, B) and weights (g/h, 1, g);
+    ``PRESSURE`` has (p, v, B), p = (g/2) h^2, and weights (1/(h c^2), h, 1).
+    Both forms have the speeds of ``normal_speeds``; A0 is positive
+    definite iff h > 0.
     """
     g, h = params.g, u.h
     if form == PRIMITIVE_HEIGHT:
-        return MatrixSet(*symmetric_matrices(u, g / h, 1.0, g))
+        return symmetric_matrices(u, g / h, 1.0, g)
     if form == PRESSURE:  # k0 rounds as 1/(h c^2), c^2 = g h, bit-equal to elastic.py
-        return MatrixSet(*symmetric_matrices(u, 1.0 / (h * (g * h)), h, 1.0))
+        return symmetric_matrices(u, 1.0 / (h * (g * h)), h, 1.0)
     raise ValueError(f"unknown quasilinear form {form!r}")
 
 
@@ -234,8 +227,8 @@ def boundary_matrix(u: State, front: FrontGeometry, params: PhysParams) -> np.nd
     Its singularity at the front characterizes characteristic
     discontinuities.
     """
-    ms = quasilinear_matrices(u, params, PRIMITIVE_HEIGHT)
-    return ms.A1 - front.speed * ms.A0 - front.slope * ms.A2
+    a0, a1, a2 = quasilinear_matrices(u, params)
+    return a1 - front.speed * a0 - front.slope * a2
 
 
 def gravity_wave_speed(u: State, params: PhysParams) -> float:

@@ -230,9 +230,12 @@ def write_rows_csv(header: str, columns, path: str | Path) -> None:
     """CSV of equal-length 1D ``columns`` under ``header``, one row per index.
 
     Integer columns print as ``%d``, the others as ``%.17g`` (the rendering
-    of ``fmt``, nan, inf and -0 included).
+    of ``fmt``, nan, inf and -0 included).  Unequal lengths are a ValueError.
     """
     columns = [np.asarray(c) for c in columns]
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"CSV columns have unequal lengths {lengths}")
     parts = [header]
     for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
         cells = [_format_block(c[start:start + CSV_BLOCK_ROWS]) for c in columns]

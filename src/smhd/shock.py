@@ -1,4 +1,4 @@
-"""Shock construction, characteristic speeds, and admissibility.
+"""Shock construction, boundary determinants, and admissibility.
 
 Given an upstream state, a front slope, and a downstream height, the
 jump conditions have a closed-form solution (the downstream state and
@@ -76,36 +76,22 @@ def hugoniot_downstream(
     return State(h=h_plus, v=v_plus, B=b_plus), front_speed
 
 
-def characteristic_speeds(u: State, front: FrontGeometry, params: PhysParams) -> np.ndarray:
-    """Eigenvalues of A0^-1 (A1 - d2(phi) A2), ascending.
-
-    Closed form: v_N -+ c_gN, v_N -+ |B_N|, v_N, already sorted since
-    c_gN >= |B_N|; ties from coincident speeds keep this label order.
-    """
-    return normal_speeds(u, params, front.normal)
-
-
 def det_boundary_matrix_closed_form(u: State, front: FrontGeometry, params: PhysParams) -> float:
     """Closed-form determinant of the boundary matrix for one side:
 
-        det = (g / h^6) m (m^2 - b^2) (m^2 - b^2 - g |N|^2 h^3),
+        det = g w e (e - g |N|^2 h) / h,   w = v_N - dt(phi),   e = w^2 - B_N^2,
 
-    vanishing exactly on characteristic fronts (m = 0, Alfven m^2 = b^2,
-    or the gravity-wave factor).  Raises InvalidParameter when h^6
-    overflows.
+    that is (g / h^6) m (m^2 - b^2) (m^2 - b^2 - g |N|^2 h^3) for the mass flux
+    m = h w and b = h B_N with h^5 cancelled, so no power of h can overflow or
+    underflow.  It vanishes exactly on characteristic fronts (m = 0, Alfven
+    w^2 = B_N^2, or the gravity-wave factor).
     """
-    s = front.slope
-    vn, _ = normal_tangential(u.v, s)
-    bn, _ = normal_tangential(u.B, s)
-    m = u.h * (vn - front.speed)
-    b = u.h * bn
+    vn, _ = normal_tangential(u.v, front.slope)
+    bn, _ = normal_tangential(u.B, front.slope)
+    w = vn - front.speed
+    e = w * w - bn * bn
     g = params.g
-    d = m * m - b * b
-    try:
-        h6 = u.h**6
-    except OverflowError:
-        raise InvalidParameter(f"h^6 overflows in the boundary determinant, h = {u.h}") from None
-    return (g / h6) * m * d * (d - g * front.norm_sq * u.h**3)
+    return g * w * e * (e - g * front.norm_sq * u.h) / u.h
 
 
 def _reflect_state(u: State) -> State:
@@ -185,8 +171,8 @@ def lax_verdict(sp: SidePair) -> ShockDiagnostics:
     ok, cg_p, cg_m = lax_kernel(tq, csp.plus.h, csp.minus.h, csp.params.g, speed)
 
     return ShockDiagnostics(
-        eigenvalues_plus=characteristic_speeds(csp.plus, csp.front, csp.params),
-        eigenvalues_minus=characteristic_speeds(csp.minus, csp.front, csp.params),
+        eigenvalues_plus=normal_speeds(csp.plus, csp.params, csp.front.normal),
+        eigenvalues_minus=normal_speeds(csp.minus, csp.params, csp.front.normal),
         cg_plus=cg_p,
         cg_minus=cg_m,
         ca_plus=tq.bn_plus,

@@ -154,9 +154,7 @@ def _lax(p: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                # State's finiteness check; b1_plus * b1_plus overflowing makes v1 infinite
                | ~np.all(np.isfinite([*heights, *plus.v, *plus.B, *minus.v, *minus.B]), axis=0)
                # not a shock; h_mean * h_mean overflowing makes classify's band infinite
-               | (kind_code(plus, minus, front, g) != KIND_SHOCK)
-               # h**6 overflows in lax_verdict's boundary determinants
-               | np.any(np.isinf(heights**6), axis=0))
+               | (kind_code(plus, minus, front, g) != KIND_SHOCK))
     return invalid, np.where(satisfied, CODE_STABLE, CODE_UNSTABLE), abs(plus.h - minus.h)
 
 
@@ -217,20 +215,14 @@ def sweep_svg(spec: SweepSpec, codes: np.ndarray, path: str | Path) -> None:
 
     One path per verdict code draws that code's cells in row-major order.
     The nx x-offset strings and the ny y-offset strings are formatted once
-    per map, and each cell is the concatenation of its two strings.
+    per map, and each cell is the concatenation of its two strings.  A
+    cvs-nsc map overplots each curve's in-range points as one polyline.
     """
     nx, ny = codes.shape
     width = nx * CELL_PX + 2 * MARGIN_PX
     height = ny * CELL_PX + 2 * MARGIN_PX
     xs = spec.x_axis
     ys = spec.y_axis
-
-    def px(xv: float) -> float:
-        return MARGIN_PX + (xv - xs.lo) / (xs.hi - xs.lo) * nx * CELL_PX
-
-    def py(yv: float) -> float:
-        return height - MARGIN_PX - (yv - ys.lo) / (ys.hi - ys.lo) * ny * CELL_PX
-
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f"<!-- metadata: smhd sweep verdict={spec.verdict} grid={nx}x{ny} -->",
@@ -248,12 +240,13 @@ def sweep_svg(spec: SweepSpec, codes: np.ndarray, path: str | Path) -> None:
         parts.append(f'<path d="{cells}" fill="{_COLORS.get(code, "#000000")}"/>')
     if spec.verdict == "cvs-nsc":
         for name, ax_vals, ay_vals in _nsc_exception_curves(spec):
-            pts = []
-            for xv, yv in zip(np.atleast_1d(ax_vals), np.atleast_1d(ay_vals)):
-                if xs.lo <= xv <= xs.hi and ys.lo <= yv <= ys.hi:
-                    pts.append(f"{px(xv):.2f},{py(yv):.2f}")
-            if len(pts) > 1:
-                parts.append(f'<polyline points="{" ".join(pts)}" fill="none" '
+            inside = ((xs.lo <= ax_vals) & (ax_vals <= xs.hi)
+                      & (ys.lo <= ay_vals) & (ay_vals <= ys.hi))
+            px = MARGIN_PX + (ax_vals[inside] - xs.lo) / (xs.hi - xs.lo) * nx * CELL_PX
+            py = height - MARGIN_PX - (ay_vals[inside] - ys.lo) / (ys.hi - ys.lo) * ny * CELL_PX
+            if px.size > 1:
+                pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px.tolist(), py.tolist()))
+                parts.append(f'<polyline points="{pts}" fill="none" '
                              f'stroke="#1b2a70" stroke-width="1" '
                              f'stroke-dasharray="3,2"><title>{name}</title></polyline>')
     parts.append(

@@ -43,20 +43,12 @@ DEFAULT_EPSILON = 1e-6
 BOUNDARY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class SecondaryMatrices:
-    """Symmetric matrices (B0, B1, B2) of the lam-parameterized form."""
-
-    B0: np.ndarray
-    B1: np.ndarray
-    B2: np.ndarray
-
-
-def secondary_matrices(u: State, lam: float, params: PhysParams) -> SecondaryMatrices:
-    """Matrices of the secondary symmetrization at state u: the member lam of
-    ``core.symmetric_matrices`` with the primitive-height weights, so at
-    lam = 0 they are the primitive-height matrices."""
-    return SecondaryMatrices(*symmetric_matrices(u, params.g / u.h, 1.0, params.g, float(lam)))
+def secondary_matrices(u: State, lam: float,
+                       params: PhysParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Matrices (B0, B1, B2) of the secondary symmetrization at state u: the
+    member lam of ``core.symmetric_matrices`` with the primitive-height
+    weights, so at lam = 0 they are ``core.quasilinear_matrices``."""
+    return symmetric_matrices(u, params.g / u.h, 1.0, params.g, float(lam))
 
 
 def secondary_hyperbolic(h: float, lam: float) -> bool:
@@ -121,8 +113,8 @@ def secondary_residual_decomposition(
     ])
     div_term = b1 * dx1[0] + b2 * dx2[0] + h * div_b
 
-    sm = secondary_matrices(u, lam, params)
-    secondary = sm.B0 @ dt + sm.B1 @ dx1 + sm.B2 @ dx2
+    m0, m1, m2 = secondary_matrices(u, lam, params)
+    secondary = m0 @ dt + m1 @ dx1 + m2 @ dx2
 
     rebuilt = np.empty(5)
     rebuilt[0] = (g / h) * primary[0] - (g * lam / h) * div_term
@@ -381,6 +373,6 @@ def boundary_energy_term(
             abs(um[3] - hat_minus.B[1] * s) > BOUNDARY_TOL * scale:
         raise ConstraintViolation("trace perturbations violate the linearized field constraint")
 
-    qp = secondary_matrices(hat_plus, choice.lambda_plus, params).B1
-    qm = secondary_matrices(hat_minus, choice.lambda_minus, params).B1
+    _, qp, _ = secondary_matrices(hat_plus, choice.lambda_plus, params)
+    _, qm, _ = secondary_matrices(hat_minus, choice.lambda_minus, params)
     return float(up @ qp @ up - um @ qm @ um)

@@ -15,11 +15,12 @@ from smhd.core import (
     conserved_from_primitive,
     fluxes,
     gravity_wave_speed,
+    normal_speeds,
     primitive_from_conserved,
     quasilinear_matrices,
 )
 from smhd.errors import NonPositiveHeight
-from smhd.shock import characteristic_speeds, det_boundary_matrix_closed_form
+from smhd.shock import det_boundary_matrix_closed_form
 
 from conftest import random_state
 
@@ -93,11 +94,11 @@ def test_flux_induction_rows_structure(rng):
 
 
 def test_quasilinear_rest_state():
-    ms = quasilinear_matrices(State(h=1.0, v=[0, 0], B=[0, 0]), PhysParams(1.0))
-    assert np.array_equal(ms.A0, np.eye(5))
+    a0, a1, _ = quasilinear_matrices(State(h=1.0, v=[0, 0], B=[0, 0]), PhysParams(1.0))
+    assert np.array_equal(a0, np.eye(5))
     a1_expected = np.zeros((5, 5))
     a1_expected[0, 1] = a1_expected[1, 0] = 1.0
-    assert np.array_equal(ms.A1, a1_expected)
+    assert np.array_equal(a1, a1_expected)
 
 
 def test_matrices_symmetric_and_a0_positive(rng):
@@ -105,21 +106,21 @@ def test_matrices_symmetric_and_a0_positive(rng):
     for _ in range(200):
         u = random_state(rng)
         for form in (PRIMITIVE_HEIGHT, PRESSURE):
-            ms = quasilinear_matrices(u, p, form)
-            assert np.array_equal(ms.A1, ms.A1.T)
-            assert np.array_equal(ms.A2, ms.A2.T)
-            assert np.min(np.linalg.eigvalsh(ms.A0)) > 0.0
+            a0, a1, a2 = quasilinear_matrices(u, p, form)
+            assert np.array_equal(a1, a1.T)
+            assert np.array_equal(a2, a2.T)
+            assert np.min(np.linalg.eigvalsh(a0)) > 0.0
 
 
-def test_forms_share_characteristic_speeds(rng):
+def test_forms_share_normal_speeds(rng):
     p = PhysParams(g=1.4)
     for _ in range(300):
         u = random_state(rng)
         s = rng.uniform(-2, 2)
         speeds = None
         for form in (PRIMITIVE_HEIGHT, PRESSURE):
-            ms = quasilinear_matrices(u, p, form)
-            lam = np.sort(sla.eigh(ms.A1 - s * ms.A2, ms.A0, eigvals_only=True))
+            a0, a1, a2 = quasilinear_matrices(u, p, form)
+            lam = np.sort(sla.eigh(a1 - s * a2, a0, eigvals_only=True))
             if speeds is None:
                 speeds = lam
             else:
@@ -135,7 +136,7 @@ def test_pressure_form_is_the_primitive_form_in_pressure_unknowns(rng):
         j = np.diag([1.0 / (p.g * u.h), 1.0, 1.0, 1.0, 1.0])
         prim = quasilinear_matrices(u, p, PRIMITIVE_HEIGHT)
         pres = quasilinear_matrices(u, p, PRESSURE)
-        for a, b in ((prim.A0, pres.A0), (prim.A1, pres.A1), (prim.A2, pres.A2)):
+        for a, b in zip(prim, pres):
             ref = u.h * j @ a @ j
             assert np.max(np.abs(b - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -143,9 +144,9 @@ def test_pressure_form_is_the_primitive_form_in_pressure_unknowns(rng):
 def test_boundary_matrix_stationary_flat_front(rng):
     p = PhysParams(1.0)
     u = random_state(rng)
-    ms = quasilinear_matrices(u, p)
+    _, a1, _ = quasilinear_matrices(u, p)
     bm = boundary_matrix(u, FrontGeometry(0.0, 0.0), p)
-    assert np.array_equal(bm, ms.A1)
+    assert np.array_equal(bm, a1)
 
 
 def test_boundary_matrix_symmetric(rng):
@@ -203,8 +204,8 @@ def test_flux_jacobian_matches_quasilinear_modulo_constraint(rng):
     for _ in range(30):
         u = random_state(rng, h_range=(0.5, 3.0), field_range=(-2.0, 2.0))
         q0 = conserved_from_primitive(u)
-        ms = quasilinear_matrices(u, p)
-        a0inv = np.linalg.inv(ms.A0)
+        a0, a1, a2 = quasilinear_matrices(u, p)
+        a0inv = np.linalg.inv(a0)
         # dq/dW for W = (h, v, B)
         t = np.eye(5)
         t[:, 0] = [1.0, *u.v, *u.B]
@@ -212,7 +213,7 @@ def test_flux_jacobian_matches_quasilinear_modulo_constraint(rng):
         correction = np.array([0.0, u.B[0], u.B[1], u.v[0], u.v[1]])
         for which, col in ((0, 3), (1, 4)):
             jac = _fd_jacobian(lambda q: _flux_of_conserved(q, p, which), q0)
-            ai = ms.A1 if which == 0 else ms.A2
+            ai = a1 if which == 0 else a2
             transported = t @ a0inv @ ai @ np.linalg.inv(t)
             transported[:, col] -= correction
             assert np.max(np.abs(jac - transported)) < 1e-6
@@ -230,8 +231,8 @@ def test_curl_convention_against_primitive_equations(rng):
         dx2 = rng.normal(size=5)
         # zero the divergence term by adjusting d1(B1)
         dx1[3] = -(u.B[0] * dx1[0] + u.B[1] * dx2[0] + u.h * dx2[4]) / u.h
-        ms = quasilinear_matrices(u, p)
-        dt = -np.linalg.solve(ms.A0, ms.A1 @ dx1 + ms.A2 @ dx2)
+        a0, a1, a2 = quasilinear_matrices(u, p)
+        dt = -np.linalg.solve(a0, a1 @ dx1 + a2 @ dx2)
 
         def dq(du):
             return np.array([
@@ -250,11 +251,11 @@ def test_curl_convention_against_primitive_equations(rng):
         assert np.max(np.abs(residual)) < 1e-6
 
 
-def test_characteristic_speeds_closed_form_vs_eigensolve(rng):
+def test_normal_speeds_closed_form_vs_eigensolve(rng):
     p = PhysParams(g=1.0)
     for _ in range(500):
         u = random_state(rng)
         f = FrontGeometry(slope=rng.uniform(-2, 2), speed=0.0)
-        ms = quasilinear_matrices(u, p)
-        lam = np.sort(sla.eigh(ms.A1 - f.slope * ms.A2, ms.A0, eigvals_only=True))
-        assert np.max(np.abs(lam - characteristic_speeds(u, f, p))) < 1e-10
+        a0, a1, a2 = quasilinear_matrices(u, p)
+        lam = np.sort(sla.eigh(a1 - f.slope * a2, a0, eigvals_only=True))
+        assert np.max(np.abs(lam - normal_speeds(u, p, f.normal))) < 1e-10

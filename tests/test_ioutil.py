@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -37,3 +38,13 @@ def test_write_rows_csv_matches_per_row_reference(tmp_path_factory, n, floats, i
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     write_rows_csv("a,b,c", columns, path)
     assert path.read_bytes() == _per_row("a,b,c", columns).encode()
+
+
+@pytest.mark.parametrize("lengths", [(3, 2), (CSV_BLOCK_ROWS, 2000)])
+def test_write_rows_csv_rejects_unequal_columns(tmp_path, lengths):
+    # (1024, 2000) fills the first block of both columns alike, so a per-block
+    # zip(strict=True) would still drop the longer column's tail silently
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="unequal lengths"):
+        write_rows_csv("a,b", [np.arange(n, dtype=float) for n in lengths], path)
+    assert not path.exists()

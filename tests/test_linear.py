@@ -9,7 +9,7 @@ import scipy.linalg as sla
 
 import smhd.linear
 from smhd.core import PhysParams
-from smhd.errors import ConfigError, ConstraintViolation, NonFiniteState
+from smhd.errors import ConfigError, ConstraintViolation, LaxViolation, NonFiniteState
 from smhd.linear import (
     LinearConfig,
     _fill_differences,
@@ -195,6 +195,19 @@ def test_one_step_product_matches_einsum_roll_step():
 def test_import_cli_loads_no_scipy():
     code = "import smhd.cli, sys; assert 'scipy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+@pytest.mark.parametrize("module", ["smhd.core", "smhd.jumps"])
+def test_import_analysis_module_loads_no_simulator(module):
+    heavy = ["smhd.fv", "smhd.linear", "smhd.sweep", "smhd.elastic"]
+    code = f"import {module}, sys; assert not set({heavy}) & set(sys.modules), sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+def test_two_outgoing_characteristics_rejected():
+    # M = 0.1 < m1: the x1 = 0 boundary has two negative speeds, 1 - m_star/M and 1 - m1/M
+    with pytest.raises(LaxViolation, match="exactly one outgoing"):
+        linear_halfplane_simulate(dataclasses.replace(_setup(), froude=0.1), _cfg(end_time=0.1))
 
 
 def test_run_beyond_max_steps_rejected(monkeypatch):

@@ -1,6 +1,9 @@
 import ast
 import importlib
 import importlib.util
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).parents[1]
@@ -49,3 +52,11 @@ def test_benchmark_traced_names_resolve():
     names = [(owner, attr) for owner, attr, _, _ in spans.SPANS] + [spans.STATE_HOOK[:2]]
     absent = {f"{owner}.{attr}" for owner, attr in names if not hasattr(_owner(owner), attr)}
     assert absent <= ABSENT_SPANS, f"traced names that no longer exist: {absent - ABSENT_SPANS}"
+
+
+def test_readme_library_example_prints_its_comments():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S).group(1)
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, timeout=60).stdout
+    assert out.splitlines() == ["shock", "True"]

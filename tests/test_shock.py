@@ -1,11 +1,12 @@
 import dataclasses
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from smhd.core import FrontGeometry, PhysParams, State, boundary_matrix, fast_speed
+from smhd.core import FrontGeometry, PhysParams, State, boundary_matrix, fast_speed, normal_speeds
 from smhd.errors import DegenerateHeight, InvalidParameter, InvalidRatio, LaxViolation, NotAShock
 from smhd.jumps import (
     DiscontinuityType,
@@ -18,7 +19,6 @@ from smhd.jumps import (
     trace_quantities,
 )
 from smhd.shock import (
-    characteristic_speeds,
     det_boundary_matrix_closed_form,
     hugoniot_downstream,
     k2_shock_possible,
@@ -99,7 +99,7 @@ def test_hugoniot_inverse_recovers_upstream(rng):
 
 
 def test_speeds_magnetic_rest_state():
-    got = characteristic_speeds(State(h=1, v=[0, 0], B=[1, 0]), FrontGeometry(), PhysParams(1.0))
+    got = normal_speeds(State(h=1, v=[0, 0], B=[1, 0]), PhysParams(1.0), FrontGeometry().normal)
     expected = [-math.sqrt(2), -1.0, 0.0, 1.0, math.sqrt(2)]
     assert np.max(np.abs(got - expected)) < 1e-15
 
@@ -109,7 +109,7 @@ def test_speeds_pure_shallow_water(rng):
     for _ in range(50):
         u = State(h=rng.uniform(0.1, 5), v=rng.uniform(-3, 3, 2), B=[0, 0])
         s = rng.uniform(-2, 2)
-        got = characteristic_speeds(u, FrontGeometry(slope=s), p)
+        got = normal_speeds(u, p, FrontGeometry(slope=s).normal)
         vn = u.v[0] - u.v[1] * s
         c = math.sqrt(p.g * u.h * (1 + s * s))
         assert np.allclose(got, [vn - c, vn, vn, vn, vn + c], atol=1e-13)
@@ -122,6 +122,24 @@ def test_det_closed_form_roots():
     assert det_boundary_matrix_closed_form(u, FrontGeometry(0.0, 1.0), p) == 0.0
     # m^2 = b^2: front at the Alfven speed
     assert abs(det_boundary_matrix_closed_form(u, FrontGeometry(0.0, 0.5), p)) < 1e-15
+
+
+@pytest.mark.parametrize("h", [1e-60, 1e60])
+def test_det_closed_form_at_extreme_heights(h):
+    # (g / h^6) m (m^2 - b^2) (m^2 - b^2 - g |N|^2 h^3) in exact arithmetic; h^6 itself
+    # underflows to 0 at h = 1e-60 and overflows at h = 1e60
+    p = PhysParams(1.0)
+    u = State(h=h, v=[1.0, 0.2], B=[0.3, -0.1])
+    front = FrontGeometry(slope=0.5, speed=-0.4)
+    hf, g, nsq = Fraction(h), Fraction(p.g), Fraction(front.norm_sq)
+    vn = Fraction(u.v[0]) - Fraction(u.v[1]) * Fraction(front.slope)
+    bn = Fraction(u.B[0]) - Fraction(u.B[1]) * Fraction(front.slope)
+    m, b = hf * (vn - Fraction(front.speed)), hf * bn
+    d = m * m - b * b
+    exact = g / hf**6 * m * d * (d - g * nsq * hf**3)
+    got = det_boundary_matrix_closed_form(u, front, p)
+    assert math.isfinite(got)
+    assert abs(Fraction(got) - exact) <= 1e-15 * abs(exact)
 
 
 def test_det_sign_changes_across_each_root():
