@@ -200,7 +200,8 @@ def test_import_cli_loads_no_scipy():
 @pytest.mark.parametrize("module", ["smhd.core", "smhd.jumps"])
 def test_import_analysis_module_loads_no_simulator(module):
     heavy = ["smhd.fv", "smhd.linear", "smhd.sweep", "smhd.elastic"]
-    code = f"import {module}, sys; assert not set({heavy}) & set(sys.modules), sys.modules"
+    code = (f"import {module}, sys; loaded = set({heavy}) & set(sys.modules); "
+            "assert not loaded, loaded")
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 
 
