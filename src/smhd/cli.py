@@ -240,15 +240,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_shock)
 
     p = sub.add_parser("stability", help="current-vortex-sheet stability verdicts")
-    p.add_argument("mode", choices=("cvs", "nsc"))
-    p.add_argument("--input", default="", help="side-pair JSON (cvs mode)")
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    p.add_argument("--v2-jump", dest="v2_jump", type=float, default=0.0)
-    p.add_argument("--b2-plus", dest="b2_plus", type=float, default=1.0)
-    p.add_argument("--h", type=float, default=1.0)
-    p.add_argument("--g", type=float, default=1.0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_stability)
+    modes = p.add_subparsers(dest="mode", required=True)  # each mode takes only its own flags
+    m = modes.add_parser("cvs", help="symmetrizer and sufficient verdict of a side pair")
+    m.add_argument("--input", default="", help="side-pair JSON file")
+    m.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+    m.add_argument("--out", default=None)
+    m = modes.add_parser("nsc", help="necessary-and-sufficient verdict of a symmetric pair")
+    m.add_argument("--v2-jump", dest="v2_jump", type=float, default=0.0)
+    m.add_argument("--b2-plus", dest="b2_plus", type=float, default=1.0)
+    m.add_argument("--h", type=float, default=1.0)
+    m.add_argument("--g", type=float, default=1.0)
+    m.add_argument("--out", default=None)
 
     p = sub.add_parser("sweep", help="two-parameter stability sweep (CSV + SVG)")
     p.add_argument("--spec", required=True, help="sweep spec JSON file")

@@ -231,11 +231,6 @@ def boundary_matrix(u: State, front: FrontGeometry, params: PhysParams) -> np.nd
     return a1 - front.speed * a0 - front.slope * a2
 
 
-def gravity_wave_speed(u: State, params: PhysParams) -> float:
-    """Gravity wave speed c = sqrt(g h)."""
-    return float(np.sqrt(params.g * u.h))
-
-
 def fast_speed(bn, h, g, norm_sq=1.0):
     """Fast magneto-gravity speed c_gN = sqrt(B_N^2 + g h |N|^2), scalars or arrays.
 

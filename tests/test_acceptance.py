@@ -7,6 +7,7 @@ the runtime.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg as sla
@@ -23,8 +24,8 @@ from smhd.core import (
 )
 from smhd.elastic import elastic_fluxes, elastic_quasilinear_matrices, embed_elastodynamics
 from smhd.errors import ConstraintViolation
-from smhd.fv import SimConfig, perturbed_shock_experiment, simulate_1d, simulate_2d, \
-    transition_band_width
+from smhd.fv import SimConfig, simulate_1d, simulate_2d, transition_band_width
+from smhd.ioutil import load_json
 from smhd.jumps import SidePair
 from smhd.linear import LinearConfig, linear_halfplane_simulate, make_constraint_pulse
 from smhd.shock import (
@@ -43,6 +44,8 @@ from smhd.symmetrization import (
 )
 
 from conftest import random_state
+
+CONFIGS = Path(__file__).parents[1] / "configs"
 
 
 def _random_front(rng):
@@ -274,11 +277,9 @@ def test_c08_1d_shock_persistence():
 def test_c09_2d_divergence_transport():
     t0 = time.monotonic()
     results = {}
+    doc = load_json(CONFIGS / "vortex_2d.json")
     for n in (128, 256):
-        cfg = SimConfig(dimensions=2, cells=(n, n), extents=((0.0, 1.0), (0.0, 1.0)),
-                        end_time=1.0, boundary_x1="periodic", cfl=0.45, g=1.0,
-                        output_interval=0.1, initial={"type": "vortex"})
-        res = simulate_2d(cfg)
+        res = simulate_2d(SimConfig.from_dict({**doc, "cells": [n, n]}))
         results[n] = (res.div_norm[0], float(np.max(res.div_norm)))
     elapsed = time.monotonic() - t0
     for n, (tau0, peak) in results.items():
@@ -293,24 +294,22 @@ def test_c09_2d_divergence_transport():
 
 def test_c10_perturbed_shock_boundedness():
     t0 = time.monotonic()
-    p = PhysParams(1.0)
-    shock = rectilinear_shock(1.0, 2.0, 0.5, 0.0, p)
-    cfg = SimConfig(dimensions=2, cells=(256, 64), extents=((0.0, 6.0), (0.0, 1.0)),
-                    end_time=5.0, output_interval=0.25, cfl=0.45, g=1.0,
-                    initial={"type": "perturbed_shock", "front_position": 2.0})
-    res = perturbed_shock_experiment(shock, 0.01, 1, cfg)
+    doc = load_json(CONFIGS / "perturbed_shock_2d.json")
+    res = simulate_2d(SimConfig.from_dict(doc))
     a0 = res.front_amplitude[0]
     aT = res.front_amplitude[-1]
     assert a0 > 0
     assert aT / a0 <= 3.0, f"a(T)/a(0) = {aT / a0:.2f}"
 
-    # expansion configuration: no trackable sharp front by t ~ 1
-    shock_exp = rectilinear_shock(2.0, 0.5, 1.0, 0.0, p)
-    cfg_exp = SimConfig(
-        dimensions=2, cells=(256, 64), extents=((0.0, 6.0), (0.0, 1.0)),
-        end_time=1.0, output_interval=0.5, cfl=0.45, g=1.0,
-        initial={"type": "perturbed_shock", "front_position": 3.0})
-    res_exp = perturbed_shock_experiment(shock_exp, 0.01, 1, cfg_exp)
+    # expansion configuration, the states of rectilinear_shock(2.0, 0.5, 1.0, 0.0): the height
+    # falls across the front, the subsonic upstream side has outflow ends, and no sharp
+    # front is trackable by t ~ 1
+    res_exp = simulate_2d(SimConfig.from_dict({
+        **doc, "end_time": 1.0, "output_interval": 0.5, "boundary_x1": ["outflow", "outflow"],
+        "initial": {"type": "perturbed_shock",
+                    "minus": {"h": 2.0, "v": [1.0, 0.0], "B": [0.5, 0.0]},
+                    "plus": {"h": 1.0, "v": [2.0, 0.0], "B": [1.0, 0.0]},
+                    "front_position": 3.0, "amplitude": 0.01, "wavelengths": 1}}))
     x = res_exp.grid["x"]
     dx = res_exp.grid["dx"]
     widths = [transition_band_width(x, res_exp.snapshot[0][:, j], 1.5)

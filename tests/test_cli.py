@@ -690,6 +690,9 @@ def test_exit_code_table_matches_docs(capsys):
     (["shock", "--help"], 0),
     (["classify", "--tol", "1e-6"], 1),
     (["stability", "nsc", "--tol", "1e-6"], 1),
+    # each stability mode takes only its own flags
+    (["stability", "nsc", "--input", "missing.json"], 1),
+    (["stability", "cvs", "--input", "missing.json", "--v2-jump", "3"], 1),
 ])
 def test_parser_exit_codes(capsys, argv, code):
     with pytest.raises(SystemExit) as exc:
@@ -789,3 +792,15 @@ def test_sweep_outputs_pinned_by_hash(tmp_path, capsys, spec, csv, svg):
     digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
               for name in ("sweep.csv", "sweep.svg")}
     assert digest == {"sweep.csv": csv, "sweep.svg": svg}
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "rational_shock_1d.json"],
+    ["simulate", "--config", "linear_halfplane.json"],
+    ["sweep", "--spec", "sweep_cvs_nsc.json"],
+    ["sweep", "--spec", "sweep_lax.json"],
+], ids=lambda argv: argv[-1])
+def test_bundled_config_runs(tmp_path, capsys, argv):
+    # ACCEPT-09 and ACCEPT-10 run vortex_2d.json and perturbed_shock_2d.json
+    path = Path(__file__).parents[1] / "configs" / argv[-1]
+    assert main([*argv[:-1], str(path), "--out", str(tmp_path)]) == 0

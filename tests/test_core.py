@@ -13,8 +13,8 @@ from smhd.core import (
     axis_fluxes,
     boundary_matrix,
     conserved_from_primitive,
+    fast_speed,
     fluxes,
-    gravity_wave_speed,
     normal_speeds,
     primitive_from_conserved,
     quasilinear_matrices,
@@ -169,11 +169,11 @@ def test_boundary_matrix_determinant_oracle(rng):
             assert abs(dn - dc) / abs(dc) < 1e-9
 
 
-def test_gravity_wave_speed_values():
-    assert gravity_wave_speed(State(h=1, v=[0, 0], B=[0, 0]), PhysParams(1.0)) == 1.0
-    assert gravity_wave_speed(State(h=2, v=[0, 0], B=[0, 0]), PhysParams(1.0)) == math.sqrt(2)
-    got = gravity_wave_speed(State(h=0.25, v=[0, 0], B=[0, 0]), PhysParams(9.8))
-    assert abs(got - math.sqrt(2.45)) < 1e-15
+def test_fast_speed_without_normal_field():
+    # with B_N = 0 the fast speed is the gravity wave speed sqrt(g h)
+    assert fast_speed(0.0, 1.0, 1.0) == 1.0
+    assert fast_speed(0.0, 2.0, 1.0) == math.sqrt(2)
+    assert abs(fast_speed(0.0, 0.25, 9.8) - math.sqrt(2.45)) < 1e-15
 
 
 def _fd_jacobian(func, x0, eps=1e-7):
