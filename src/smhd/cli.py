@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -217,7 +218,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.  Each leaf parser is its own
+    ``parser`` default, so that ``main`` reports a stray flag with that parser's usage."""
     ap = _Parser(prog="smhd", description="Shallow-water MHD analysis and simulation")
     ap.add_argument("--version", action="version", version=f"smhd {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -228,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="margin for the sheet stability condition")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None, help="directory for classify.json")
-    p.set_defaults(func=cmd_classify)
+    p.set_defaults(func=cmd_classify, parser=p)
 
     p = sub.add_parser("shock", help="construct a rectilinear shock bundle")
     p.add_argument("h_minus", type=float)
@@ -237,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b2", type=float)
     p.add_argument("--g", type=float, default=1.0)
     p.add_argument("--out", default=None, help="directory for shock.json")
-    p.set_defaults(func=cmd_shock)
+    p.set_defaults(func=cmd_shock, parser=p)
 
     p = sub.add_parser("stability", help="current-vortex-sheet stability verdicts")
     p.set_defaults(func=cmd_stability)
@@ -246,28 +250,32 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--input", default="", help="side-pair JSON file")
     m.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     m.add_argument("--out", default=None)
+    m.set_defaults(parser=m)
     m = modes.add_parser("nsc", help="necessary-and-sufficient verdict of a symmetric pair")
     m.add_argument("--v2-jump", dest="v2_jump", type=float, default=0.0)
     m.add_argument("--b2-plus", dest="b2_plus", type=float, default=1.0)
     m.add_argument("--h", type=float, default=1.0)
     m.add_argument("--g", type=float, default=1.0)
     m.add_argument("--out", default=None)
+    m.set_defaults(parser=m)
 
     p = sub.add_parser("sweep", help="two-parameter stability sweep (CSV + SVG)")
     p.add_argument("--spec", required=True, help="sweep spec JSON file")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--format", choices=("csv", "svg", "both"), default="both")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, parser=p)
 
     p = sub.add_parser("simulate", help="run a finite-volume or linearized simulation")
     p.add_argument("--config", required=False, default="", help="config JSON file")
     p.add_argument("--out", default=None, help="output directory")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, parser=p)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except SmhdError as exc:

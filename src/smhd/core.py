@@ -29,11 +29,14 @@ of h B2 vanish identically.  That mirrors the transport structure of the
 constraint div(h B) = 0, which is carried by the initial data rather
 than enforced by the equations.
 
-The fluxes (``axis_fluxes``) and the fast speed (``fast_speed``) each live
-here only; the pointwise API, the Lax verdict and its sweep kernel, and
-the simulator call them on floats or arrays.  Formulas shared by a
-scalar and an array path square by products, not ``**``: ``x**2`` of a
-float calls libm ``pow``, which can round unlike numpy's ``x*x``.
+The fluxes (``FluxPlan``, evaluated once by ``axis_fluxes``) and the fast
+speed (``fast_speed``) each live here only; the pointwise API, the Lax
+verdict and its sweep kernel, and the simulator call them on floats or
+arrays.  The simulator builds one ``FluxPlan`` per run and passes
+``fast_speed`` its output buffers, so its time step allocates nothing.
+Formulas shared by a scalar and an array path square by products, not
+``**``: ``x**2`` of a float calls libm ``pow``, which can round unlike
+numpy's ``x*x``.
 """
 
 from __future__ import annotations
@@ -138,39 +141,71 @@ def primitive_from_conserved(q: np.ndarray) -> State:
     return State(h=q[0], v=q[1:3] / q[0], B=q[3:5] / q[0])
 
 
-def axis_fluxes(q, v, b, g, ndim: int = 2, out=None):
-    """Physical fluxes along the first ``ndim`` axes (x1, then x2) of conserved
-    fields q = (h, h v1, h v2, h B1, h B2) with their velocity ``v`` and field
-    ``b`` pairs (scalars or arrays).  With the pressure g h^2/2, w = h (B1 v2 - B2 v1),
-    rounded as hB1 v2 - hB2 v1, and the shared term s = h v1 v2 - h B1 B2, rounded
-    as hv1 v2 - hB1 B2:
+class FluxPlan:
+    """The physical fluxes along the first ``ndim`` axes (x1, then x2) of fixed
+    arrays, evaluated again by each call.
+
+    ``q`` = (h, h v1, h v2, h B1, h B2) is shaped (5, ...) and ``prim`` =
+    (v1, v2, B1, B2) its velocity and field, (4, ...).  With the pressure
+    g h^2/2, w = h (B1 v2 - B2 v1), rounded as hB1 v2 - hB2 v1, and the shared
+    term s = h v1 v2 - h B1 B2, rounded as hv1 v2 - hB1 B2:
 
         F1 = (h v1, h v1^2 - h B1^2 + g h^2/2, s, 0, -w)
         F2 = (h v2, s, h v2^2 - h B2^2 + g h^2/2, w, 0)
 
     Each shared term is evaluated once for both axes.  The zero entries are the
     curl structure of the induction rows; the x2 flux never reads B1.  The
-    result (or ``out``) has shape (ndim, 5, ...).  The zero rows F1[3] and F2[4]
-    are never written: a new result is allocated with zeros, and an ``out``
-    must already hold 0 there (a buffer that is reused across calls keeps them).
+    fluxes go into ``out`` (ndim, 5, ...), whose zero rows F1[3] and F2[4] are
+    never written: a new ``out`` is allocated with zeros, and a given one must
+    already hold 0 there.  Every view and temporary is built here, so a call
+    issues only ufunc calls with ``out=``: products go two at a time, on row
+    pairs such as h v1 (v1, v2).  ``work`` is an optional float scratch of at
+    least (5, ...) for the temporaries; it is free again after a call.
     """
-    h = q[0]
-    v1, v2 = v
-    pres = 0.5 * g * h * h
-    f = np.zeros((ndim, *np.shape(q))) if out is None else out
-    # a row's last operation writes into it, which saves a copy per row
-    # (``f[axis, k, ...]`` is a view, 0-d for a scalar q)
-    f[0, 0] = q[1]
-    np.add(q[1] * v1 - q[3] * b[0], pres, out=f[0, 1, ...])
-    np.subtract(q[1] * v2, q[3] * b[1], out=f[0, 2, ...])  # the shared term
-    # w goes straight into F2[3] (into F1[4] in 1D) and is negated into F1[4]
-    w = np.subtract(q[3] * v2, q[4] * v1, out=f[1, 3, ...] if ndim == 2 else f[0, 4, ...])
-    np.negative(w, out=f[0, 4, ...])
-    if ndim == 2:
-        f[1, 0] = q[2]
-        f[1, 1] = f[0, 2]
-        np.add(q[2] * v2 - q[4] * b[1], pres, out=f[1, 2, ...])
-    return f
+
+    def __init__(self, q, prim, g, ndim: int = 2, out=None, work=None):
+        shape = q.shape[1:]
+        f = np.zeros((ndim, 5, *shape)) if out is None else out
+        work = np.empty((5, *shape)) if work is None else work
+        self.out, self.ndim, self.half_g = f, ndim, 0.5 * g
+        self.h, self.pres, self.pair, self.pair_b = q[0, ...], work[0, ...], work[1:3], work[3:5]
+        self.first, self.second = work[1, ...], work[2, ...]  # the rows of pair
+        # F1[0] = h v1; h v1 (v1, v2) - h B1 (B1, B2) = (F1[1] - pres, s);
+        # (h B1, h B2) (v2, v1) -> w into F2[3] (F1[4] in 1D), negated into F1[4]
+        self.copies = [(f[0, 0, ...], q[1, ...])]
+        self.q1, self.v, self.q3, self.b = q[1:2], prim[:2], q[3:4], prim[2:]
+        self.f1_12, self.f1_1, self.f1_4 = f[0, 1:3], f[0, 1, ...], f[0, 4, ...]
+        self.hb, self.v21 = q[3:5], prim[1::-1]
+        self.w = f[1, 3, ...] if ndim == 2 else f[0, 4, ...]
+        if ndim == 2:
+            # F2[0] = h v2, F2[1] = s; (h v2, h B2) (v2, B2) -> F2[2] - pres
+            self.copies += [(f[1, 0, ...], q[2, ...]), (f[1, 1, ...], f[0, 2, ...])]
+            self.q24, self.v2b2, self.f2_2 = q[2::2], prim[1::2], f[1, 2, ...]
+
+    def __call__(self):
+        pair, first, second, pres = self.pair, self.first, self.second, self.pres
+        np.multiply(self.h, self.half_g, out=pres)
+        np.multiply(pres, self.h, out=pres)
+        np.multiply(self.q1, self.v, out=pair)
+        np.multiply(self.q3, self.b, out=self.pair_b)
+        np.subtract(pair, self.pair_b, out=self.f1_12)
+        np.add(self.f1_1, pres, out=self.f1_1)
+        np.multiply(self.hb, self.v21, out=pair)
+        np.subtract(first, second, out=self.w)
+        np.negative(self.w, out=self.f1_4)
+        if self.ndim == 2:
+            np.multiply(self.q24, self.v2b2, out=pair)
+            np.subtract(first, second, out=self.f2_2)
+            np.add(self.f2_2, pres, out=self.f2_2)
+        for dst, src in self.copies:
+            dst[...] = src
+        return self.out
+
+
+def axis_fluxes(q, v, b, g, ndim: int = 2, out=None):
+    """``FluxPlan`` evaluated once, for conserved fields ``q`` (5, ...) with their
+    velocity ``v`` and field ``b`` pairs (2, ...): the fluxes (ndim, 5, ...)."""
+    return FluxPlan(q, np.concatenate((v, b)), g, ndim, out)()
 
 
 def fluxes(u: State, params: PhysParams) -> tuple[np.ndarray, np.ndarray]:
@@ -231,12 +266,22 @@ def boundary_matrix(u: State, front: FrontGeometry, params: PhysParams) -> np.nd
     return a1 - front.speed * a0 - front.slope * a2
 
 
-def fast_speed(bn, h, g, norm_sq=1.0):
+def fast_speed(bn, h, g, norm_sq=1.0, out=None, gh=None):
     """Fast magneto-gravity speed c_gN = sqrt(B_N^2 + g h |N|^2), scalars or arrays.
 
     ``bn`` = B.N for a normal N that need not be unit, ``norm_sq`` = |N|^2.
+    Arrays can be evaluated into ``out`` (shaped like bn) with ``gh`` (shaped
+    like h) as scratch for g h |N|^2: the same rounding, and no temporaries.
+    The factor of a unit normal is then skipped, as x 1 = x.
     """
-    return sqrt(bn * bn + g * h * norm_sq)
+    if out is None:
+        return sqrt(bn * bn + g * h * norm_sq)
+    np.multiply(h, g, out=gh)
+    if norm_sq != 1.0:
+        np.multiply(gh, norm_sq, out=gh)
+    np.multiply(bn, bn, out=out)
+    np.add(out, gh, out=out)
+    return np.sqrt(out, out=out)
 
 
 def normal_speeds(u: State, params: PhysParams, normal: np.ndarray) -> np.ndarray:

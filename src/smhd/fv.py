@@ -14,12 +14,16 @@ update and the boundary-flux conservation defect are sums over axes.
 Each run holds one ghost-padded state (``_PaddedState``), shaped
 (5, n1 + 2, n2 + 2) or (5, n + 2) and read flat as (5, L).  A step copies
 q into it once, refreshes the ghost cells, and evaluates every cell's
-fluxes along both axes (``core.axis_fluxes``) and extreme wave speeds
+fluxes along both axes (``core.FluxPlan``) and extreme wave speeds
 (``core.fast_speed``) once, from one division by h; the flux rows that
-are identically zero are written once per run.  Cells that neighbour
+are identically zero are written once per run.  The speeds are clamped
+once per cell, lo = min(lo, 0) and hi = max(hi, 0): that is the contract
+of ``_hll_faces``, whose face speeds min(lo_l, lo_r) and max(hi_l, hi_r)
+are then the min and max of the same three numbers as an unclamped
+face's min(lo_l, lo_r, 0) and max(hi_l, hi_r, 0).  Cells that neighbour
 along an axis lie a fixed flat offset apart (n2 + 2 along x1, 1 along x2
 and in 1D), so ``_hll_faces`` forms the faces of either axis from two
-contiguous slices of those flat arrays, in a weight form whose clamped
+contiguous windows of those flat arrays, in a weight form whose clamped
 speeds cover the upwind faces without a branch.  Faces that straddle a
 ghost column or a row end are computed and never read.  The CFL step
 takes its maximum speed from the interior cells of the speed arrays, so
@@ -27,6 +31,16 @@ a pinned inflow ghost never sets dt.  A non-finite wave speed or
 conservation defect, or zero CFL speeds, aborts with NonFiniteState; the
 loop runs with numpy's overflow and invalid-value warnings off, so a flux
 that overflows ends the run through that check alone.
+
+Each run has a step plan: every view, reshape and buffer that a step
+touches (the state's rows, the flux plan, each axis's face operands, its
+flux-difference windows and boundary faces, the cell sums) is built once
+when the run starts, and a step then issues only ufunc calls with
+``out=`` on them.  At a few hundred cells each numpy call costs more than
+its arithmetic, so this, not the arithmetic, sets the cost of a 1D step.
+``_hll_faces`` and ``_check_positive`` stay module functions that the
+loop calls through the module, once per axis and once per step, so that
+a profiler that replaces them sees every call.
 
 The update runs in place: each axis's flux difference is taken over the
 flat face array into one buffer allocated per run, scaled by dt / dx and
@@ -50,8 +64,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (PhysParams, State, axis_fluxes, conserved_from_primitive, fast_speed,
-                   fluxes, normal_speeds)
+from .core import (FluxPlan, PhysParams, State, conserved_from_primitive, fast_speed, fluxes,
+                   normal_speeds)
 from .errors import CflViolation, ConfigError, NonFiniteState, PositivityLoss
 from .ioutil import (MAX_CELLS, MAX_STEPS, Recorder, cell_grid, check_count, check_float,
                      check_keys, check_number, check_pair, check_run_fields, config_kwargs,
@@ -84,7 +98,9 @@ def hll_flux(left: State, right: State, unit_normal, params: PhysParams) -> Arra
     sl_r = normal_speeds(right, params, n)
     lo = np.array([sl_l[0], sl_r[0]])
     hi = np.array([sl_l[-1], sl_r[-1]])
-    return _hll_faces(q, f, lo, hi, 1, _FaceBuffers(1))[:, 0].copy()
+    cells = (q, f, np.minimum(lo, 0.0), np.maximum(hi, 0.0))
+    faces = _Faces([a[..., :1] for a in cells], [a[..., 1:] for a in cells])
+    return _hll_faces(faces)[:, 0].copy()
 
 
 class _FaceBuffers:
@@ -99,17 +115,27 @@ class _FaceBuffers:
         self.mask = np.empty(size, dtype=bool)
 
 
-def _hll_faces(q: Array, f: Array, lo: Array, hi: Array, offset: int,
-               buf: _FaceBuffers) -> Array:
-    """HLL flux at every face between flat cells k and k + ``offset``.
+class _Faces:
+    """The operands of ``_hll_faces`` for n faces, built once for fixed arrays.
 
-    ``q`` and ``f`` are per-cell conserved fields and physical fluxes, shaped
-    (5, offset + n), and ``lo``/``hi`` the per-cell extreme speeds; each was
-    evaluated once per cell.  The two sides of the n faces are the slices
-    ``[:n]`` and ``[offset:]``, and ``buf`` holds n faces.  With the face
-    speeds clamped, sL = min(lo_l, lo_r, 0) and sR = max(hi_l, hi_r, 0), and
-    den = sR - sL (1 where it is 0), the face flux is written into
-    ``buf.flux`` in weight form:
+    ``left`` and ``right`` hold each face's two sides: the conserved fields and
+    physical fluxes (5, n) and the extreme speeds lo and hi (n,) of a cell, with
+    the speeds already clamped to lo <= 0 <= hi; each was evaluated once per
+    cell.  ``buf`` holds n faces; the faces along different axes can share one.
+    """
+
+    def __init__(self, left, right, buf: _FaceBuffers | None = None):
+        (self.ql, self.fl, self.lo_l, self.hi_l), (self.qr, self.fr, self.lo_r, self.hi_r) = \
+            left, right
+        self.buf = _FaceBuffers(len(self.lo_l)) if buf is None else buf
+
+
+def _hll_faces(p: _Faces) -> Array:
+    """HLL flux at every face of ``p``, written into ``p.buf.flux``.
+
+    The face speeds are sL = min(lo_l, lo_r) and sR = max(hi_l, hi_r): with
+    the cell speeds clamped, these are min(lo_l, lo_r, 0) and max(hi_l, hi_r, 0).
+    With den = sR - sL (1 where it is 0), the face flux is, in weight form,
 
         F = fl + b (fr - fl) - c (qr - ql),   b = -sL / den,  c = -sL sR / den.
 
@@ -117,13 +143,9 @@ def _hll_faces(q: Array, f: Array, lo: Array, hi: Array, offset: int,
     states and where sL >= 0 (b = c = 0), and fl + (fr - fl), within an ulp
     of fr, where sR <= 0 (b = 1, c = 0).
     """
-    n = q.shape[1] - offset
-    ql, qr = q[:, :n], q[:, offset:]
-    fl, fr = f[:, :n], f[:, offset:]
-    s_left = np.minimum(lo[:n], lo[offset:], out=buf.s_left)
-    np.minimum(s_left, 0.0, out=s_left)
-    s_right = np.maximum(hi[:n], hi[offset:], out=buf.s_right)
-    np.maximum(s_right, 0.0, out=s_right)
+    buf = p.buf
+    s_left = np.minimum(p.lo_l, p.lo_r, out=buf.s_left)
+    s_right = np.maximum(p.hi_l, p.hi_r, out=buf.s_right)
     # -den, so that b = sL / -den and c = sL sR / -den need no negation; where it
     # is 0, sL = sR = 0 and the guard 1 gives b = c = 0
     neg_denom = np.subtract(s_left, s_right, out=buf.denom)
@@ -132,10 +154,10 @@ def _hll_faces(q: Array, f: Array, lo: Array, hi: Array, offset: int,
     c = np.multiply(s_left, s_right, out=s_right)
     c /= neg_denom
     b = np.divide(s_left, neg_denom, out=s_left)
-    out = np.subtract(fr, fl, out=buf.flux)
+    out = np.subtract(p.fr, p.fl, out=buf.flux)
     out *= b
-    out += fl
-    tmp = np.subtract(qr, ql, out=buf.tmp)
+    out += p.fl
+    tmp = np.subtract(p.qr, p.ql, out=buf.tmp)
     tmp *= c
     out -= tmp
     return out
@@ -148,42 +170,72 @@ def _index(ndim: int, axis: int, part) -> tuple:
 
 
 class _PaddedState:
-    """The state with one ghost cell at each end of every axis, allocated once per run.
+    """The state with one ghost cell at each end of every axis, and the operands of
+    every step, allocated once per run.
 
     The padded array has shape (5, n1 + 2, n2 + 2), or (5, n + 2) in 1D, and
     is read flat as (5, L).  Cells that neighbour along an axis lie a fixed
     flat offset apart: n2 + 2 along x1, 1 along x2 and in 1D.  So along
     either axis the faces k = 0 .. L - 1, between flat cells k and
-    k + offset, have their two sides in contiguous slices, and their fluxes
-    form one contiguous (5, L) array that reshapes to the padded shape.  The
-    flat arrays run one x1 offset past L so that every one of those faces
-    has a right cell.  Faces that straddle a ghost column, a row end or the
-    end of the padded array are computed and never read.
+    k + offset, have their two sides in contiguous (5, L) windows of the
+    per-cell arrays, and their fluxes form one contiguous (5, L) array that
+    reshapes to the padded shape.  Each per-cell array (the state, the fluxes
+    and the speeds) is rows of L cells in one buffer that runs one x1 offset
+    past its last row, so the right window of a row reaches into the next row
+    or that spare end.  Faces whose right cell lies there, or that straddle a
+    ghost column or a row end, are computed and never read.
 
     ``sides[axis]`` gives the ghost cell at each end of that axis:
     ``"periodic"``, ``"outflow"`` (copy of the edge cell) or a pinned
     conserved 5-vector (inflow), which is written once here and never
-    touched again.  The corner cells and the cells past L belong to no face
-    that is read; they hold h = 1 so that every cell term stays finite.
+    touched again.  The corner cells belong to no face that is read; they
+    hold h = 1, and the spare ends 0, so that every cell and face term stays
+    finite.
+
+    The flux plan (``core.FluxPlan``), the faces of each axis (``_Faces``,
+    sharing one ``_FaceBuffers``) and every view that ``load`` reads are built
+    here, so a step issues only ufunc calls on them.  The temporaries of the
+    fluxes and speeds live in the face buffers, which are free until the
+    faces are formed.
     """
 
     def __init__(self, cells: tuple[int, ...], sides, g: float):
         ndim = len(cells)
         shape = tuple(n + 2 for n in cells)
-        self.ndim, self.g, self.shape = ndim, g, shape
-        self.size = math.prod(shape)
+        self.g, self.shape = g, shape
+        self.size = size = math.prod(shape)
         self.offsets = [math.prod(shape[axis + 1:]) for axis in range(ndim)]
-        length = self.size + self.offsets[0]
-        self.flat = np.zeros((5, length))
+        q, f, lo, hi = (np.zeros(rows * size + self.offsets[0])
+                        for rows in (5, 5 * ndim, ndim, ndim))
+
+        def window(a: Array, start: int, rows: int) -> Array:
+            return a[start:start + rows * size].reshape(rows, size)
+
+        self.flat = window(q, 0, 5)
         self.flat[0] = 1.0
-        self.padded = self.flat[:, :self.size].reshape(5, *shape)
+        self.padded = self.flat.reshape(5, *shape)
         self.inner = (slice(None),) + (slice(1, -1),) * ndim
         self.interior = self.padded[self.inner]
-        self.prim = np.empty((4, length))
-        self.f = np.zeros((ndim, 5, length))  # axis_fluxes never writes its zero rows
-        self.lo, self.hi = np.empty((2, ndim, length))  # extreme speeds along each axis
+        self.h, self.hq = self.flat[0], self.flat[1:]  # h and (h v, h B)
+        self.prim = np.empty((4, size))  # v1, v2, B1, B2
+        self.vn, self.bn = self.prim[:ndim], self.prim[2:2 + ndim]
+        self.f = window(f, 0, 5 * ndim).reshape(ndim, 5, size)  # its zero rows stay 0
+        self.lo, self.hi = window(lo, 0, ndim), window(hi, 0, ndim)  # speeds along each axis
+        self.buf = _FaceBuffers(size)
+        self.fluxes = FluxPlan(self.flat, self.prim, g, ndim, self.f, self.buf.tmp)
+        self.gh = self.buf.denom
         self.interior_speeds = self.cells(self.lo), self.cells(self.hi)
-        self.buf = _FaceBuffers(self.size)
+        self.cell_axes = tuple(range(1, ndim + 1))
+        self.lo_min, self.hi_max = np.empty((2, ndim))
+
+        def terms(axis: int, k: int) -> tuple:
+            """The (q, f, lo, hi) along ``axis`` of the L flat cells from cell k on."""
+            start = size * axis + k
+            return (window(q, k, 5), window(f, 5 * size * axis + k, 5),
+                    lo[start:start + size], hi[start:start + size])
+
+        self.plans = [_Faces(terms(axis, 0), terms(axis, s), self.buf)
+                      for axis, s in enumerate(self.offsets)]
         first, last = 1, -2  # edge cells of the interior
         sources = {"outflow": (first, last), "periodic": (last, first)}
         self.copies = []  # (ghost, source) views refreshed every step
@@ -198,33 +250,35 @@ class _PaddedState:
 
     def load(self, q: Array) -> list[float]:
         """Copy ``q`` in, refresh the ghosts, evaluate every cell's flux along each axis and
-        extreme speeds (lo, hi) from one q / h, and return the largest wave speed of
-        the interior cells per axis: a pinned inflow ghost never sets the time step.
-        As hi >= lo cell by cell, that speed is max(hi.max(), -lo.min())."""
-        np.copyto(self.interior, q)
+        extreme speeds (lo, hi) from one q / h, clamp the speeds to lo <= 0 <= hi, and
+        return the largest wave speed of the interior cells per axis: a pinned inflow
+        ghost never sets the time step.  As hi >= lo cell by cell, that speed is
+        max(hi.max(), -lo.min()), which the clamp leaves unchanged."""
+        self.interior[...] = q
         for ghost, src in self.copies:
-            np.copyto(ghost, src)
-        ndim, flat = self.ndim, self.flat
-        prim = np.divide(flat[1:], flat[0], out=self.prim)  # v1, v2, B1, B2
-        v, b = prim[:2], prim[2:]
-        axis_fluxes(flat, v, b, self.g, ndim, self.f)
-        cg = fast_speed(b[:ndim], flat[0], self.g)
-        np.subtract(v[:ndim], cg, out=self.lo)
-        np.add(v[:ndim], cg, out=self.hi)
-        lo, hi = self.interior_speeds
-        axes = tuple(range(1, ndim + 1))
-        return np.maximum(hi.max(axis=axes), -lo.min(axis=axes)).tolist()
+            ghost[...] = src
+        lo, hi = self.lo, self.hi
+        np.divide(self.hq, self.h, out=self.prim)
+        self.fluxes()
+        fast_speed(self.bn, self.h, self.g, out=hi, gh=self.gh)
+        np.subtract(self.vn, hi, out=lo)
+        np.minimum(lo, 0.0, out=lo)
+        np.add(self.vn, hi, out=hi)
+        np.maximum(hi, 0.0, out=hi)
+        lo_min, hi_max = self.lo_min, self.hi_max
+        np.minimum.reduce(self.interior_speeds[0], axis=self.cell_axes, out=lo_min)
+        np.maximum.reduce(self.interior_speeds[1], axis=self.cell_axes, out=hi_max)
+        np.negative(lo_min, out=lo_min)
+        return np.maximum(hi_max, lo_min, out=hi_max).tolist()
 
     def cells(self, a: Array) -> Array:
-        """The interior cells of a flat (k, L or more) array, shaped (k, *cells)."""
-        return a[:, :self.size].reshape(len(a), *self.shape)[self.inner]
+        """The interior cells of a flat (k, L) array, shaped (k, *cells)."""
+        return a.reshape(len(a), *self.shape)[self.inner]
 
     def faces(self, axis: int) -> Array:
         """HLL fluxes along ``axis`` of the loaded state, (5, L) and contiguous: column k
         is the face between flat cells k and k + offset."""
-        end = self.size + self.offsets[axis]
-        return _hll_faces(self.flat[:, :end], self.f[axis, :, :end], self.lo[axis, :end],
-                          self.hi[axis, :end], self.offsets[axis], self.buf)
+        return _hll_faces(self.plans[axis])
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +486,7 @@ def _energy(q: Array, g: float, cell_volume: float) -> float:
 
 
 def _check_positive(q: Array, t: float) -> None:
-    if not float(np.min(q[0])) > 0.0:
+    if not np.minimum.reduce(q[0], axis=None) > 0.0:
         raise PositivityLoss(t)
 
 
@@ -475,16 +529,34 @@ def _simulate(cfg: SimConfig, source: Callable[..., Array] | None = None,
     periodic = (cfg.boundary_x1[0] == "periodic", cfg.boundary_x2 == "periodic")
     upd = np.empty((5, state.size))  # one axis's flux difference, then the source term, times dt
     upd_cells = state.cells(upd)
-    sums = q.sum(axis=cell_axes)  # cell sums of the current q
+    # Per axis: the flux difference over the flat face and update arrays (cell k has
+    # faces k - s and k; the differences that straddle two components are never read),
+    # and the faces of the two boundaries normal to the axis, summed along them in 2D.
+    flux, upd_flat = state.buf.flux, upd.reshape(-1)
+    faces, flux_flat = flux.reshape(state.padded.shape), flux.reshape(-1)
+    boundary_axes = np.empty((ndim, 5))  # each axis's boundary flux over the step
+    boundary = boundary_axes[0]
+    plan = []
+    for axis, s in enumerate(state.offsets):
+        first, last = (faces[_index(ndim, axis, k)] for k in (0, -2))
+        edge_sums = []  # (faces, their sum) pairs, 2D only
+        if ndim == 2:
+            edge_sums = [(first, np.empty(5)), (last, np.empty(5))]
+            first, last = (total for _, total in edge_sums)
+        plan.append((flux_flat[s:], flux_flat[:-s], upd_flat[s:], edge_sums, first, last,
+                     boundary_axes[axis]))
+    # the cell sums of the current q, those of the step before, and the defect
+    sums, before, defect = np.empty((3, 5))
+    np.add.reduce(q, axis=cell_axes, out=sums)
     t = 0.0
     steps = 0
     max_defect = 0.0
     rec = Recorder(cfg.output_interval)
 
-    def volume(s):
+    def volume(s, out=None):
         """``s`` times the cell volume, one width at a time: the rounding of s * dx * dy."""
         for d in widths:
-            s = s * d
+            s = np.multiply(s, d, out=out)
         return s
 
     def row():
@@ -522,28 +594,30 @@ def _simulate(cfg: SimConfig, source: Callable[..., Array] | None = None,
             if dt * rate > 1.0 + 1e-12:
                 raise CflViolation(f"Courant number {dt * rate:.3f} exceeds 1 at t={t:.4g}")
             dt = min(dt, cfg.end_time - t)
-            before = sums
-            boundary = 0.0
-            for axis, s in enumerate(state.offsets):
-                # cell k has faces k - s and k; one difference over the whole flat buffer,
-                # whose entries that straddle two components are never read
-                f = state.faces(axis)
-                diff = np.subtract(f.reshape(-1)[s:], f.reshape(-1)[:-s], out=upd.reshape(-1)[s:])
+            before, sums = sums, before
+            for axis, (right, left, diff, edge_sums, first, last, across) in enumerate(plan):
+                state.faces(axis)
+                np.subtract(right, left, out=diff)
                 diff *= dt / widths[axis]
                 q -= upd_cells
-                f = f.reshape(state.padded.shape)
-                first = f[_index(ndim, axis, 0)].sum(axis=cell_axes[:-1])
-                last = f[_index(ndim, axis, -2)].sum(axis=cell_axes[:-1])
-                boundary = boundary + dt * areas[axis] * (last - first)
+                for edge, total in edge_sums:
+                    np.add.reduce(edge, axis=1, out=total)
+                np.subtract(last, first, out=across)
+                across *= dt * areas[axis]
+            if ndim == 2:
+                boundary += across
             if source is not None:
                 s_arr = source(t, *mesh)
                 q += np.multiply(dt, s_arr, out=upd_cells)
-            sums = q.sum(axis=cell_axes)
-            defect = volume(sums - before) + boundary
+            np.add.reduce(q, axis=cell_axes, out=sums)
+            volume(np.subtract(sums, before, out=defect), out=defect)
+            defect += boundary
             if source is not None:
-                defect = defect - volume(dt * s_arr.sum(axis=cell_axes))
-            step_defect = float(np.max(np.abs(defect)) /
-                                max(1.0, float(volume(np.max(np.abs(before))))))
+                defect -= volume(dt * s_arr.sum(axis=cell_axes))
+            np.absolute(defect, out=defect)
+            np.absolute(before, out=before)  # the sums of the step before are not read again
+            step_defect = float(np.maximum.reduce(defect)) / max(
+                1.0, float(volume(np.maximum.reduce(before))))
             _check_finite(step_defect, t + dt, "conservation defect")
             max_defect = max(max_defect, step_defect)
             if steps == MAX_STEPS or (steps == 0 and cfg.end_time > MAX_STEPS * dt):

@@ -20,6 +20,13 @@ from the interior.  The divergence-type restriction on the initial data
 
 is validated with the same one-sided operator used to build compliant
 pulses, so compliant data satisfy it exactly.
+
+Each run has a step plan: the views of the four differences
+(``_Differences``), the boundary state, the front phi and its central
+difference d2 phi, and their scratch, are built once when the run
+starts.  A step then fills the differences, applies the upwind product
+u -= K D, and updates phi, d2 phi and the boundary state in place, with
+the rounding of the plain expressions.
 """
 
 from __future__ import annotations
@@ -94,20 +101,29 @@ def _upwind_split(a: Array, a0: Array) -> tuple[Array, Array, Array, Array, Arra
     return (vecs * np.maximum(lam, 0.0)) @ inv, (vecs * np.minimum(lam, 0.0)) @ inv, vecs, inv, lam
 
 
-def _fill_differences(d: Array, u: Array, ub: Array) -> None:
-    """Fill ``d`` (4, 5, n1, n2) with the x1 backward (ghost ``ub``), x1 forward (zero-gradient
-    ghost), x2 backward and x2 forward (periodic) differences of ``u``: one operation over
-    the flat arrays each, then the entries that wrap across a row or field are reset."""
-    n2 = u.shape[2]
-    uf, (d0, d1, d2, d3) = u.reshape(-1), d.reshape(4, -1)
-    np.subtract(uf[n2:], uf[:-n2], out=d0[n2:])
-    np.subtract(u[:, 0], ub, out=d[0, :, 0])
-    d1[:-n2] = d0[n2:]
-    d[1, :, -1] = 0.0
-    np.subtract(uf[1:], uf[:-1], out=d2[1:])
-    np.subtract(u[..., 0], u[..., -1], out=d[2, ..., 0])
-    d3[:-1] = d2[1:]
-    d[3, ..., -1] = d[2, ..., 0]
+class _Differences:
+    """The x1 backward (ghost ``ub``), x1 forward (zero-gradient ghost), x2 backward and
+    x2 forward (periodic) differences of ``u`` (5, n1, n2), written into ``d``
+    (4, 5, n1, n2) by each call.  Each is one subtraction over the flat arrays, after
+    which the entries that wrap across a row or field are reset; every view is built
+    here, once per run."""
+
+    def __init__(self, d: Array, u: Array, ub: Array):
+        n2 = u.shape[2]
+        uf, (d0, d1, d2, d3) = u.reshape(-1), d.reshape(4, -1)
+        # (minuend, subtrahend, out), in order: each row's first entries are then redone
+        self.subtractions = [(uf[n2:], uf[:-n2], d0[n2:]), (u[:, 0], ub, d[0, :, 0]),
+                             (uf[1:], uf[:-1], d2[1:]), (u[..., 0], u[..., -1], d[2, ..., 0])]
+        # (destination, source), in order: the forward differences are the backward
+        # ones shifted, with the last x1 entry 0 and the last x2 entry periodic
+        self.copies = [(d1[:-n2], d0[n2:]), (d[1, :, -1], 0.0),
+                       (d3[:-1], d2[1:]), (d[3, ..., -1], d[2, ..., 0])]
+
+    def __call__(self) -> None:
+        for left, right, out in self.subtractions:
+            np.subtract(left, right, out=out)
+        for dst, src in self.copies:
+            dst[...] = src
 
 
 @dataclass
@@ -271,7 +287,7 @@ def linear_halfplane_simulate(setup: LinearizedShockSetup, cfg: LinearConfig,
 
     def row() -> tuple:
         vol = dx * dy
-        _fill_differences(d, u, ub)  # x1 forward differences d[0, :, 1:], x2 forward d[3]
+        differences()  # x1 forward differences d[0, :, 1:], x2 forward d[3]
         l2 = math.sqrt(float(np.sum(u * u)) * vol)
         h1 = math.sqrt(float(np.sum(u * u) + np.sum(d[0, :, 1:] ** 2) + np.sum(d[3] ** 2)) * vol)
         dub = np.roll(ub, -1, axis=1) - ub
@@ -287,21 +303,33 @@ def linear_halfplane_simulate(setup: LinearizedShockSetup, cfg: LinearConfig,
     k = np.hstack([dt / dx * g1p, dt / dx * g1m, dt / dy * g2p, dt / dy * g2m])
     d = np.empty((4, 5, n1, n2))
     u_cols, d_cols, flux = u.reshape(5, -1), d.reshape(20, -1), np.empty((5, n1 * n2))
-    # phi, its central difference d2 phi and the boundary state of the current u and phi
-    phi, dphi = np.zeros(n2), np.zeros(n2)
-    ub = b_u @ u[:, 0, :]
+    # phi, its central difference d2 phi and the boundary state of the current u and phi,
+    # each updated in place, with the views and scratch of those updates
+    phi, d2phi, rate, p_term = np.zeros((4, n2))
+    u_edge, ub, ub_phi = u[:, 0, :], np.empty((5, n2)), np.empty((5, n2))
+    np.matmul(b_u, u_edge, out=ub)
+    differences = _Differences(d, u, ub)
+    # d2 phi = (phi[k + 1] - phi[k - 1]) / (2 dy), periodic in x2: the interior entries,
+    # then (d2phi[0], d2phi[-1]) from (phi[1], phi[0]) - (phi[-1], phi[-2])
+    d2phi_parts = ((phi[2:], phi[:-2], d2phi[1:-1]),
+                   (phi[1::-1], phi[:-3:-1], d2phi[::n2 - 1]))
+    two_dy, pb, b_phi_col = 2.0 * dy, ub[0], b_phi[:, None]
     t = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         rec.offer(t, False, row)
         for step in range(n_steps):
-            _fill_differences(d, u, ub)
+            differences()
             u_cols -= np.matmul(k, d_cols, out=flux)
-            phi = phi + dt * (phi_drift * dphi - phi_pb * ub[0])
-            # d2 phi = (phi[k + 1] - phi[k - 1]) / (2 dy), periodic in x2, in place
-            np.subtract(phi[2:], phi[:-2], out=dphi[1:-1])
-            dphi[0], dphi[-1] = phi[1] - phi[-1], phi[0] - phi[-2]
-            dphi /= 2.0 * dy
-            ub = b_u @ u[:, 0, :] + np.outer(b_phi, dphi)
+            # phi += dt (phi_drift d2 phi - phi_pb p_b)
+            np.multiply(d2phi, phi_drift, out=rate)
+            rate -= np.multiply(pb, phi_pb, out=p_term)
+            rate *= dt
+            phi += rate
+            for left, right, out in d2phi_parts:
+                np.subtract(left, right, out=out)
+            d2phi /= two_dy
+            np.matmul(b_u, u_edge, out=ub)
+            ub += np.multiply(b_phi_col, d2phi, out=ub_phi)
             t += dt
             if step >= n_steps - 3:
                 p_levels.append(u[0].copy())

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import smhd.fv
-from smhd.cli import EXIT_CODES, main
+from smhd.cli import EXIT_CODES, build_parser, main
 from smhd.fv import SimConfig, simulate_1d, simulate_2d
 from smhd.ioutil import MAX_STEPS
 from smhd.linear import LinearConfig, linear_halfplane_simulate
@@ -698,6 +699,29 @@ def test_parser_exit_codes(capsys, argv, code):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == code
+    if code == 1:  # the usage line of the (sub)command that was chosen
+        command = " ".join(argv[:2] if argv[0] == "stability" else argv[:1])
+        assert capsys.readouterr().err.startswith(f"usage: smhd {command} ")
+
+
+def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):
+    spec = _write(tmp_path, "s.json", LAX_SWEEP)
+    assert main(["sweep", "--spec", spec, "--out", str(tmp_path)]) == 0
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    assert main(["sweep", "--spec", spec, "--out", str(tmp_path)]) == 0
+    assert built == [] and build_parser() is build_parser()
+    # a usage error after a successful call still exits 1 with its own usage line
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--spec", spec, "--tol", "1"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith("usage: smhd sweep ")
 
 
 def _plain_csv(header, rows):
@@ -758,6 +782,23 @@ def test_simulate_outputs_pinned_by_hash(tmp_path, capsys, doc, series, snapshot
     digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
               for name in ("timeseries.csv", "snapshot.csv")}
     assert digest == {"timeseries.csv": series, "snapshot.csv": snapshot}
+
+
+# sha256 of timeseries.csv written by the linear solver for the tiny grid of the
+# small-grids benchmark, with a pulse that reaches the boundary within the run, so every
+# norm column moves: the byte-determinism promise of the linear step (re-recorded only
+# by a change that declares its new rounding)
+PINNED_LINEAR = (_with(LINEAR_RUN, cells=[24, 8], end_time=1.0, cfl=0.45, output_interval=0.025,
+                       pulse={"center": [1.5, 1.7], "width": 0.4, "p_amplitude": 1.0,
+                              "potential_amplitude": 0.5}),
+                 "2e034949836d43504768dfe0f1ed6238f2dc342dbb671a9234223dcd49ac7376")
+
+
+def test_linear_output_pinned_by_hash(tmp_path, capsys):
+    doc, series = PINNED_LINEAR
+    assert main(["simulate", "--config", _write(tmp_path, "c.json", doc),
+                 "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "timeseries.csv").read_bytes()).hexdigest() == series
 
 
 # sha256 of (sweep.csv, sweep.svg) for three tiny sweeps: the byte-determinism promise

@@ -4,11 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
+import smhd.fv
 from smhd.core import PhysParams, State, axis_fluxes, conserved_from_primitive, fast_speed, fluxes
 from smhd.errors import CflViolation, ConfigError, NonFiniteState, PositivityLoss
 from smhd.fv import (
     SimConfig,
-    _FaceBuffers,
+    _Faces,
     _PaddedState,
     _check_positive,
     _hll_faces,
@@ -132,7 +133,8 @@ def _grid_faces(rng, axis, vn_range, vary=(0, 1)):
     """(q, lo, hi, faces) of a flat (5, n1 n2) grid along ``axis`` (flat offset n2
     along x1, 1 along x2); q varies along the axes in ``vary`` only.  The faces
     from the last cell of a row to the first of the next are not read and are
-    dropped, so the faces have the shape of ``_faces_of``."""
+    dropped, so the faces have the shape of ``_faces_of``.  ``_hll_faces`` takes
+    the cell speeds clamped to lo <= 0 <= hi; the raw speeds are returned."""
     n1, n2 = shape = (33, 17) if axis == 0 else (17, 33)
     q = _random_cells(rng, shape, axis, vn_range)
     for k in {0, 1} - set(vary):
@@ -140,7 +142,8 @@ def _grid_faces(rng, axis, vn_range, vary=(0, 1)):
     flat = q.reshape(5, -1)
     offset = (n2, 1)[axis]
     f, lo, hi = _cell_terms(flat, FACE_G, axis)
-    got = _hll_faces(flat, f, lo, hi, offset, _FaceBuffers(flat.shape[1] - offset))
+    cells = (flat, f, np.minimum(lo, 0.0), np.maximum(hi, 0.0))
+    got = _hll_faces(_Faces([a[..., :-offset] for a in cells], [a[..., offset:] for a in cells]))
     if axis == 0:
         got = got.reshape(5, n1 - 1, n2)
     else:
@@ -248,6 +251,27 @@ def test_inflow_ghost_does_not_set_time_step():
     res = simulate_1d(cfg)
     assert res.steps == 1
     assert res.times[-1] == dt_interior
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_timed_kernels_called_through_the_module_every_step(monkeypatch, ndim):
+    # perfbench times fv._hll_faces and fv._check_positive by replacing those module
+    # attributes, so the loop must call them through the module: once per axis and once
+    # per step.  A loop that inlined either would leave its metric reading 0.
+    calls = dict.fromkeys(("_hll_faces", "_check_positive"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _kernel=getattr(smhd.fv, name)):
+            calls[_name] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(smhd.fv, name, counted)
+    if ndim == 1:
+        res = simulate_1d(_riemann_cfg(cells=40, end_time=0.5))
+    else:
+        res = simulate_2d(SimConfig(dimensions=2, cells=(12, 8), extents=((0.0, 1.0), (0.0, 1.0)),
+                                    end_time=0.15, boundary_x1="periodic",
+                                    initial={"type": "vortex"}))
+    assert res.steps > 5
+    assert calls == {"_hll_faces": ndim * res.steps, "_check_positive": res.steps}
 
 
 def test_uniform_state_is_fixed_point():

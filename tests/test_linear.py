@@ -12,7 +12,7 @@ from smhd.core import PhysParams
 from smhd.errors import ConfigError, ConstraintViolation, LaxViolation, NonFiniteState
 from smhd.linear import (
     LinearConfig,
-    _fill_differences,
+    _Differences,
     _upwind_split,
     boundary_condition_matrix,
     constraint_residual,
@@ -184,7 +184,7 @@ def test_one_step_product_matches_einsum_roll_step():
     ref = u - c1 * (np.einsum("ij,jxy->ixy", g1p, dm1) + np.einsum("ij,jxy->ixy", g1m, dp1)) \
         - c2 * (np.einsum("ij,jxy->ixy", g2p, dm2) + np.einsum("ij,jxy->ixy", g2m, dp2))
     d = np.full((4, 5, n1, n2), np.nan)
-    _fill_differences(d, u, ub)
+    _Differences(d, u, ub)()
     for block, diff in zip(d, (dm1, dp1, dm2, dp2)):
         assert np.array_equal(block, diff)
     k = np.hstack([c1 * g1p, c1 * g1m, c2 * g2p, c2 * g2m])

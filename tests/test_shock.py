@@ -248,6 +248,7 @@ def test_shared_formulas_bit_equal_on_scalars_and_arrays(rng):
     pairs = [rectilinear_shock(*x[:4], PhysParams(x[4])).side_pair() for x in family[:500]]
     pairs += [_random_hugoniot(rng, PhysParams(rng.uniform(0.2, 3.0))) for _ in range(1000)]
     differ = Counter()
+    slanted = 0
     for x in family:
         scalar, array = rectilinear_family(*x), rectilinear_family(*map(np.atleast_1d, x))
         for f in dataclasses.fields(scalar):
@@ -265,9 +266,14 @@ def test_shared_formulas_bit_equal_on_scalars_and_arrays(rng):
         differ["residual_scale"] += _differs(residual_scale(tq, g), residual_scale(tq_array, g))
         for bn, h in ((tq.bn_plus, sp.plus.h), (tq.bn_minus, sp.minus.h)):
             args = (bn, h, g, tq.norm_sq)
-            array_args = map(np.atleast_1d, args)
+            array_args = list(map(np.atleast_1d, args))
             differ["fast_speed"] += _differs(fast_speed(*args), fast_speed(*array_args))
+            # and into preallocated buffers, as the simulator evaluates it
+            differ["fast_speed.out"] += _differs(
+                fast_speed(*args), fast_speed(*array_args, out=np.empty(1), gh=np.empty(1)))
+            slanted += tq.norm_sq != 1.0
     assert not +differ, dict(differ)
+    assert slanted > 0
 
 
 def test_rectilinear_lax_iff_compressive(rng):
