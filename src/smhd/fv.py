@@ -533,12 +533,12 @@ def _simulate(cfg: SimConfig, source: Callable[..., Array] | None = None,
     # faces k - s and k; the differences that straddle two components are never read),
     # and the faces of the two boundaries normal to the axis, summed along them in 2D.
     flux, upd_flat = state.buf.flux, upd.reshape(-1)
-    faces, flux_flat = flux.reshape(state.padded.shape), flux.reshape(-1)
+    face_grid, flux_flat = flux.reshape(state.padded.shape), flux.reshape(-1)
     boundary_axes = np.empty((ndim, 5))  # each axis's boundary flux over the step
     boundary = boundary_axes[0]
     plan = []
     for axis, s in enumerate(state.offsets):
-        first, last = (faces[_index(ndim, axis, k)] for k in (0, -2))
+        first, last = (face_grid[_index(ndim, axis, k)] for k in (0, -2))
         edge_sums = []  # (faces, their sum) pairs, 2D only
         if ndim == 2:
             edge_sums = [(first, np.empty(5)), (last, np.empty(5))]
