@@ -39,7 +39,8 @@ from .core import FrontGeometry, PhysParams, State
 from .errors import CflViolation, ConfigError
 from .jumps import SidePair
 
-# Rows per block of write_rows_csv, whose distinct values each column formats once.
+# Rows per block of write_rows_csv; a column that repeats few of its values is formatted
+# one block at a time.
 CSV_BLOCK_ROWS = 1024
 # Most cells a run config may hold, over all its dimensions (1024 x 1024).
 MAX_CELLS = 2**20
@@ -230,30 +231,66 @@ def write_rows_csv(header: str, columns, path: str | Path) -> None:
     """CSV of equal-length 1D ``columns`` under ``header``, one row per index.
 
     Integer columns print as ``%d``, the others as ``%.17g`` (the rendering
-    of ``fmt``, nan, inf and -0 included).  Unequal lengths are a ValueError.
+    of ``fmt``, nan, inf and -0 included).  A column that is not 1D or not
+    of a bool, int or float dtype, or unequal lengths, is a ValueError
+    raised before ``path`` is opened.  Every block is formatted before the
+    file is opened and then written with one ``writelines`` call.
     """
     columns = [np.asarray(c) for c in columns]
+    for i, c in enumerate(columns):
+        if c.ndim != 1 or c.dtype.kind not in "biuf":
+            raise ValueError(f"CSV column {i} must be 1D bool, int or float, "
+                             f"got a {c.ndim}D {c.dtype} array")
     lengths = [len(c) for c in columns]
     if len(set(lengths)) > 1:
         raise ValueError(f"CSV columns have unequal lengths {lengths}")
-    parts = [header]
-    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        cells = [_format_block(c[start:start + CSV_BLOCK_ROWS]) for c in columns]
-        parts.append("\n".join(map(",".join, zip(*cells))))
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8", newline="\n")
+    cells = [_column_cells(c) for c in columns]
+    blocks = [header + "\n"]
+    for start in range(0, max(lengths, default=0), CSV_BLOCK_ROWS):
+        stop = start + CSV_BLOCK_ROWS
+        blocks.append("\n".join(map(",".join, zip(*(f(start, stop) for f in cells)))) + "\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(blocks)
 
 
-def _format_block(values: np.ndarray) -> list[str]:
-    """The CSV strings of a 1D block, each distinct value formatted once.
+def _column_cells(values: np.ndarray):
+    """A function of (start, stop) giving the CSV strings of ``values[start:stop]``.
 
-    Floats are keyed on their bit pattern, so 0 and -0 (and NaNs of
-    different signs) keep their own strings.
+    Distinct values are found over the whole column (floats keyed on their
+    bit pattern, so 0 and -0, and NaNs of different signs, keep their own
+    strings).  A column of all-distinct values is formatted row by row.  A
+    column with at least two rows per distinct value formats each of them
+    once for the whole file and gathers each block's strings from that.
+    Any other column is formatted block by block by ``_format_block``.
+    Only the second kind keeps strings beyond a block.
     """
-    if np.issubdtype(values.dtype, np.integer):
-        distinct, inverse = np.unique(values, return_inverse=True)
-        strings = ["%d" % v for v in distinct.tolist()]
-    else:
-        bits = np.asarray(values, dtype=np.float64).view(np.uint64)
-        distinct, inverse = np.unique(bits, return_inverse=True)
-        strings = ["%.17g" % v for v in distinct.view(np.float64).tolist()]
-    return np.array(strings, dtype=object)[inverse].tolist()
+    integer = values.dtype.kind in "iu"
+    distinct, inverse = _distinct(values, integer)
+    if len(distinct) == len(values):
+        return lambda start, stop: _strings(values[start:stop], integer)
+    if 2 * len(distinct) > len(values):
+        return lambda start, stop: _format_block(values[start:stop], integer)
+    strings = np.array(_strings(distinct, integer), dtype=object)
+    return lambda start, stop: strings[inverse[start:stop]].tolist()
+
+
+def _format_block(values: np.ndarray, integer: bool) -> list[str]:
+    """The CSV strings of a 1D block, each distinct value of the block formatted once."""
+    distinct, inverse = _distinct(values, integer)
+    return np.array(_strings(distinct, integer), dtype=object)[inverse].tolist()
+
+
+def _distinct(values: np.ndarray, integer: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(..., return_inverse=True)`` of ``values``; floats are keyed on
+    their float64 bit pattern and come back as float64."""
+    if integer:
+        return np.unique(values, return_inverse=True)
+    bits, inverse = np.unique(np.asarray(values, dtype=np.float64).view(np.uint64),
+                              return_inverse=True)
+    return bits.view(np.float64), inverse
+
+
+def _strings(values: np.ndarray, integer: bool) -> list[str]:
+    """``%d`` or ``%.17g`` of each of ``values``, all in one formatting call."""
+    spec = "%d\n" if integer else "%.17g\n"
+    return (spec * len(values) % tuple(values.tolist())).split("\n")[:-1]

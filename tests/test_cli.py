@@ -835,6 +835,19 @@ def test_sweep_outputs_pinned_by_hash(tmp_path, capsys, spec, csv, svg):
     assert digest == {"sweep.csv": csv, "sweep.svg": svg}
 
 
+# sha256 of (sweep.csv, sweep.svg) of the two bundled sweeps.  The cvs-nsc map has
+# 40000 rows, so its axis values repeat across many write_rows_csv blocks, which the
+# tiny PINNED_SWEEPS maps (at most two blocks) cannot show.
+BUNDLED_SWEEPS = {
+    "sweep_cvs_nsc.json": {
+        "sweep.csv": "13d99ac3e5918ba341079cc63559f1b4ba3f5a2edbb4f6faab537ac0391a9d71",
+        "sweep.svg": "3900d9f5575ea3388ba00fcee17dd095a379787e460310e8241396283c69e52b"},
+    "sweep_lax.json": {
+        "sweep.csv": "fc8845912e362dd024a4b50c09a6b3b5b3e1af83aedb6459aea768001aad14ca",
+        "sweep.svg": "88d55d06bfd2db2f0c4da4a1c130f4e14b9442401863645edb1d7ff59abaa6dd"},
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--config", "rational_shock_1d.json"],
     ["simulate", "--config", "linear_halfplane.json"],
@@ -845,3 +858,6 @@ def test_bundled_config_runs(tmp_path, capsys, argv):
     # ACCEPT-09 and ACCEPT-10 run vortex_2d.json and perturbed_shock_2d.json
     path = Path(__file__).parents[1] / "configs" / argv[-1]
     assert main([*argv[:-1], str(path), "--out", str(tmp_path)]) == 0
+    pinned = BUNDLED_SWEEPS.get(argv[-1], {})
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in pinned} == pinned

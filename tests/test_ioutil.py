@@ -11,8 +11,11 @@ from smhd.ioutil import CSV_BLOCK_ROWS, write_rows_csv
 SPECIAL_FLOATS = (0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
                   1.7976931348623157e308)
 SPECIAL_INTS = (0, -1, -(2**62), 2**62)
-# header only, one row, and one row either side of a block boundary
-LENGTHS = (0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS + 1)
+# header only, one row, one row either side of a block boundary, and three blocks,
+# so that a value repeats across blocks
+LENGTHS = (0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1)
+# print apart although 0 == -0, and although NaN != NaN whatever its sign
+EDGE_FLOATS = (0.0, -0.0, math.nan, -math.nan)
 
 
 def _per_row(header, columns):
@@ -38,6 +41,39 @@ def test_write_rows_csv_matches_per_row_reference(tmp_path_factory, n, floats, i
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     write_rows_csv("a,b,c", columns, path)
     assert path.read_bytes() == _per_row("a,b,c", columns).encode()
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+def test_write_rows_csv_mixes_column_kinds(tmp_path, n):
+    # one call with a column of few distinct values, one with about 1.5 rows per value,
+    # and all-distinct float and int columns; where a block boundary falls inside the
+    # rows, 0/-0 and +-NaN sit on both sides of it
+    rng = np.random.default_rng(n)
+    repeated = np.array(EDGE_FLOATS)[rng.integers(0, 4, n)]
+    pairs = rng.standard_normal(n)
+    pairs[1::3] = pairs[::3][:len(pairs[1::3])]
+    distinct = rng.standard_normal(n)
+    ints = rng.permutation(n) - n // 2
+    b = CSV_BLOCK_ROWS
+    if n > b + 4:
+        repeated[b - 4:b + 4] = EDGE_FLOATS + EDGE_FLOATS[::-1]
+        pairs[b - 4:b + 4] = EDGE_FLOATS + EDGE_FLOATS[::-1]
+        distinct[b - 2:b + 2] = (0.0, math.nan, -0.0, -math.nan)
+    columns = [repeated, pairs, distinct, ints]
+    path = tmp_path / "t.csv"
+    write_rows_csv("a,b,c,d", columns, path)
+    assert path.read_bytes() == _per_row("a,b,c,d", columns).encode()
+
+
+@pytest.mark.parametrize("column", [np.zeros((3, 2)), np.float64(1.0), np.array(["1", "2", "3"]),
+                                    np.ones(3, dtype=complex), np.array([1.0, None, 2.0])],
+                         ids=["2d", "0d", "str", "complex", "object"])
+def test_write_rows_csv_rejects_malformed_column(tmp_path, column):
+    path = tmp_path / "t.csv"
+    path.write_text("kept\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="CSV column 1 must be 1D bool, int or float"):
+        write_rows_csv("a,b", [np.arange(3.0), column], path)
+    assert path.read_text(encoding="utf-8") == "kept\n"
 
 
 @pytest.mark.parametrize("lengths", [(3, 2), (CSV_BLOCK_ROWS, 2000)])
