@@ -3,17 +3,26 @@
 ``write_rows_csv`` is the one table writer of every CSV file the CLI
 writes: '.' decimals, 17 significant digits for floats, ``%d`` for
 integer columns and LF line endings, so identical inputs reproduce
-byte-identical files.  It works on blocks of ``CSV_BLOCK_ROWS`` rows.  In
-each block it formats each distinct value of a column once (floats keyed
-on their bit pattern, so 0 and -0 keep their own strings), gathers the
-strings back through the inverse index and joins the rows; no string list
-spans more than one block.  The whole text is written with one call, so a
-row that fails to format leaves no partial file.  Sweep maps repeat their
-axis values and codes: a 200x200 map (40000 rows) takes 32-50 ms against
-66-106 ms when every row is formatted (2 vCPUs, Python 3.11, numpy 2.4.6,
-medians of 15 writes on a noisy host).  A column of all-distinct values
-costs ~20% more than per-row formatting; the 256x64 perturbed-shock
-snapshot, whose x and y columns repeat, takes 45-66 ms against 52-79 ms.
+byte-identical files.  It finds the distinct values of each column over
+the whole column (floats keyed on their bit pattern, so 0 and -0 keep
+their own strings) and picks one of three ways per column:
+
+* at least two rows per distinct value (sweep axes, codes and margins; the
+  x, y and h of a 2D snapshot): each distinct value is formatted once for
+  the whole file, and each block of ``CSV_BLOCK_ROWS`` rows gathers its
+  strings from those;
+* all values distinct (most timeseries columns): each row is formatted;
+* anything else (snapshot fields, whose repeats are local): each distinct
+  value of a block is formatted once for that block.
+
+Rows are joined block by block.  The blocks are written with one
+``writelines`` call after all of them are formatted, so an error while
+formatting leaves no file.  Medians of 31 interleaved in-process writes
+against the per-block rule alone (one pinned CPU of 2 vCPUs, Python 3.11,
+numpy 2.4.6, noisy host): a 200x200 cvs-nsc map (40000 rows) 59 -> 36 ms,
+a 200x200 cvs-sufficient map 59 -> 21 ms, the 256x64 perturbed-shock
+snapshot 73 -> 68 ms; 16384x7 random floats take 116 ms against 147 ms
+(and 110 ms when each row is formatted with one format string).
 
 Each document value is read once, where it is used, by ``check_number``
 (a string or a bool is no number), ``check_float``, ``check_count`` or
@@ -264,33 +273,33 @@ def _column_cells(values: np.ndarray):
     Any other column is formatted block by block by ``_format_block``.
     Only the second kind keeps strings beyond a block.
     """
-    integer = values.dtype.kind in "iu"
-    distinct, inverse = _distinct(values, integer)
+    distinct, inverse = _distinct(values)
     if len(distinct) == len(values):
-        return lambda start, stop: _strings(values[start:stop], integer)
+        return lambda start, stop: _strings(values[start:stop])
     if 2 * len(distinct) > len(values):
-        return lambda start, stop: _format_block(values[start:stop], integer)
-    strings = np.array(_strings(distinct, integer), dtype=object)
+        return lambda start, stop: _format_block(values[start:stop])
+    strings = np.array(_strings(distinct), dtype=object)
     return lambda start, stop: strings[inverse[start:stop]].tolist()
 
 
-def _format_block(values: np.ndarray, integer: bool) -> list[str]:
+def _format_block(values: np.ndarray) -> list[str]:
     """The CSV strings of a 1D block, each distinct value of the block formatted once."""
-    distinct, inverse = _distinct(values, integer)
-    return np.array(_strings(distinct, integer), dtype=object)[inverse].tolist()
+    distinct, inverse = _distinct(values)
+    return np.array(_strings(distinct), dtype=object)[inverse].tolist()
 
 
-def _distinct(values: np.ndarray, integer: bool) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(..., return_inverse=True)`` of ``values``; floats are keyed on
-    their float64 bit pattern and come back as float64."""
-    if integer:
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(..., return_inverse=True)`` of ``values``; anything but an integer
+    column is keyed on its float64 bit pattern and comes back as float64."""
+    if values.dtype.kind in "iu":
         return np.unique(values, return_inverse=True)
     bits, inverse = np.unique(np.asarray(values, dtype=np.float64).view(np.uint64),
                               return_inverse=True)
     return bits.view(np.float64), inverse
 
 
-def _strings(values: np.ndarray, integer: bool) -> list[str]:
-    """``%d`` or ``%.17g`` of each of ``values``, all in one formatting call."""
-    spec = "%d\n" if integer else "%.17g\n"
+def _strings(values: np.ndarray) -> list[str]:
+    """``%d`` (integer dtypes) or ``%.17g`` of each of ``values``, all in one
+    formatting call (which takes ~15% less time than one call per value)."""
+    spec = "%d\n" if values.dtype.kind in "iu" else "%.17g\n"
     return (spec * len(values) % tuple(values.tolist())).split("\n")[:-1]

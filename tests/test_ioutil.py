@@ -46,8 +46,8 @@ def test_write_rows_csv_matches_per_row_reference(tmp_path_factory, n, floats, i
 @pytest.mark.parametrize("n", LENGTHS)
 def test_write_rows_csv_mixes_column_kinds(tmp_path, n):
     # one call with a column of few distinct values, one with about 1.5 rows per value,
-    # and all-distinct float and int columns; where a block boundary falls inside the
-    # rows, 0/-0 and +-NaN sit on both sides of it
+    # all-distinct float and int columns and a bool column; where four rows fit either side of the
+    # first block boundary, 0/-0 and +-NaN sit on both sides of it
     rng = np.random.default_rng(n)
     repeated = np.array(EDGE_FLOATS)[rng.integers(0, 4, n)]
     pairs = rng.standard_normal(n)
@@ -59,10 +59,10 @@ def test_write_rows_csv_mixes_column_kinds(tmp_path, n):
         repeated[b - 4:b + 4] = EDGE_FLOATS + EDGE_FLOATS[::-1]
         pairs[b - 4:b + 4] = EDGE_FLOATS + EDGE_FLOATS[::-1]
         distinct[b - 2:b + 2] = (0.0, math.nan, -0.0, -math.nan)
-    columns = [repeated, pairs, distinct, ints]
+    columns = [repeated, pairs, distinct, ints, rng.integers(0, 2, n).astype(bool)]
     path = tmp_path / "t.csv"
-    write_rows_csv("a,b,c,d", columns, path)
-    assert path.read_bytes() == _per_row("a,b,c,d", columns).encode()
+    write_rows_csv("a,b,c,d,e", columns, path)
+    assert path.read_bytes() == _per_row("a,b,c,d,e", columns).encode()
 
 
 @pytest.mark.parametrize("column", [np.zeros((3, 2)), np.float64(1.0), np.array(["1", "2", "3"]),
