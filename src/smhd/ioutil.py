@@ -267,16 +267,14 @@ def _column_cells(values: np.ndarray):
 
     Distinct values are found over the whole column (floats keyed on their
     bit pattern, so 0 and -0, and NaNs of different signs, keep their own
-    strings).  A column of all-distinct values is formatted row by row.  A
-    column with at least two rows per distinct value formats each of them
-    once for the whole file and gathers each block's strings from that.
-    Any other column is formatted block by block by ``_format_block``.
-    Only the second kind keeps strings beyond a block.
+    strings).  A column that spans more than one block and has fewer than
+    two rows per distinct value is formatted block by block by
+    ``_format_block``.  Any other column formats each distinct value once
+    for the whole file and gathers each block's strings from that; for a
+    column of one block the two ways give the same strings from one sort.
     """
     distinct, inverse = _distinct(values)
-    if len(distinct) == len(values):
-        return lambda start, stop: _strings(values[start:stop])
-    if 2 * len(distinct) > len(values):
+    if 2 * len(distinct) > len(values) > CSV_BLOCK_ROWS:
         return lambda start, stop: _format_block(values[start:stop])
     strings = np.array(_strings(distinct), dtype=object)
     return lambda start, stop: strings[inverse[start:stop]].tolist()
