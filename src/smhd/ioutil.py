@@ -5,24 +5,25 @@ writes: '.' decimals, 17 significant digits for floats, ``%d`` for
 integer columns and LF line endings, so identical inputs reproduce
 byte-identical files.  It finds the distinct values of each column over
 the whole column (floats keyed on their bit pattern, so 0 and -0 keep
-their own strings) and picks one of three ways per column:
+their own strings) and picks one of two ways per column:
 
-* at least two rows per distinct value (sweep axes, codes and margins; the
-  x, y and h of a 2D snapshot): each distinct value is formatted once for
-  the whole file, and each block of ``CSV_BLOCK_ROWS`` rows gathers its
-  strings from those;
-* all values distinct (most timeseries columns): each row is formatted;
-* anything else (snapshot fields, whose repeats are local): each distinct
-  value of a block is formatted once for that block.
+* a column longer than one block with fewer than two rows per distinct
+  value (the fields of a 2D snapshot, whose repeats are local): each
+  distinct value of a block of ``CSV_BLOCK_ROWS`` rows is formatted once
+  for that block;
+* any other column (sweep axes, codes and margins; the x, y and h of a 2D
+  snapshot; every column of one block): each distinct value is formatted
+  once for the whole file, and each block gathers its strings from those.
 
 Rows are joined block by block.  The blocks are written with one
 ``writelines`` call after all of them are formatted, so an error while
 formatting leaves no file.  Medians of 31 interleaved in-process writes
 against the per-block rule alone (one pinned CPU of 2 vCPUs, Python 3.11,
-numpy 2.4.6, noisy host): a 200x200 cvs-nsc map (40000 rows) 59 -> 36 ms,
-a 200x200 cvs-sufficient map 59 -> 21 ms, the 256x64 perturbed-shock
-snapshot 73 -> 68 ms; 16384x7 random floats take 116 ms against 147 ms
-(and 110 ms when each row is formatted with one format string).
+numpy 2.4.6, noisy host): a 200x200 cvs-nsc map (40000 rows) 42 -> 28 ms,
+a 200x200 cvs-sufficient map 41 -> 16 ms, the 256x64 perturbed-shock
+snapshot 66 -> 63 ms, the 17 writes of a ``small-grids`` pass
+14.9 -> 13.8 ms.  16384x7 random floats take 109 ms against 117 ms, and
+90 ms when each row is formatted with one format string.
 
 Each document value is read once, where it is used, by ``check_number``
 (a string or a bool is no number), ``check_float``, ``check_count`` or
@@ -48,8 +49,8 @@ from .core import FrontGeometry, PhysParams, State
 from .errors import CflViolation, ConfigError
 from .jumps import SidePair
 
-# Rows per block of write_rows_csv; a column that repeats few of its values is formatted
-# one block at a time.
+# Rows per block of write_rows_csv; a column longer than this that repeats few of its values
+# is formatted one block at a time.
 CSV_BLOCK_ROWS = 1024
 # Most cells a run config may hold, over all its dimensions (1024 x 1024).
 MAX_CELLS = 2**20
